@@ -23,10 +23,23 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # Event-core suites (calendar queue vs retained PR 1 heap oracle, EventFn
-# lifetime coverage) get an explicit focused rerun so a discovery hiccup can
-# never silently skip them — these are the gate for event-order regressions.
+# lifetime coverage, egress-slot and GapServer reservation calendars vs
+# their retained predecessors) get an explicit focused rerun so a discovery
+# hiccup can never silently skip them — these are the gate for event-order
+# and reservation-timing regressions.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SimQueueDifferential|CalendarQueue|EventFn|Determinism'
+  -R 'SimQueueDifferential|CalendarQueue|EventFn|Determinism|EgressSlots|GapServer'
+
+# Reservation-calendar differential suites under two chaos seeds: the
+# randomized lockstep runs fold NADFS_CHAOS_SEED into their seeds, so each
+# seed replays different out-of-order query sequences. Under
+# CHECK_SANITIZE=1 this puts every vector insert, erase and compaction of
+# the calendars under ASan (invalidated iterators fail loudly).
+for seed in 1 7; do
+  echo "== calendar differential suites under NADFS_CHAOS_SEED=$seed"
+  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
+    -R 'EgressSlotsDifferential|GapServerDifferential'
+done
 
 # GF(2^8) kernel-tier matrix: rerun the EC suites under every tier the host
 # actually supports. gf_kernel_probe reports which tier a forced value

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace nadfs::pspin {
 
@@ -22,13 +23,69 @@ void HandlerStats::reset() {
   for (auto& s : instr_) s = Summary{};
 }
 
+void EgressSlots::drain(TimePs now) {
+  while (head_ < slots_.size() && slots_[head_].end <= now) ++head_;
+  // Compact once the drained prefix outnumbers the live slots: amortized
+  // O(1) moves per slot, and the array keeps its capacity.
+  if (head_ > 0 && 2 * head_ >= slots_.size()) {
+    slots_.erase(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+TimePs EgressSlots::accept(TimePs want) const {
+  // Visiting the live slots by descending drain time, the depth-th one
+  // that covers `want` holds the (count - depth)-th smallest covering end
+  // (0-based) — the slot whose completion frees one for this send.
+  unsigned covering = 0;
+  for (std::size_t i = slots_.size(); i > head_; --i) {
+    const Slot& s = slots_[i - 1];
+    if (s.end <= want) break;  // it and every earlier slot drained by `want`
+    if (s.issue <= want && ++covering == depth_) return s.end;
+  }
+  return want;
+}
+
+void EgressSlots::add(TimePs issue, TimePs end) {
+  const auto pos =
+      std::upper_bound(slots_.begin() + static_cast<std::ptrdiff_t>(head_), slots_.end(), end,
+                       [](TimePs e, const Slot& s) { return e < s.end; });
+  slots_.insert(pos, Slot{issue, end});
+}
+
+unsigned EgressSlots::in_flight(TimePs t) const {
+  const auto first =
+      std::upper_bound(slots_.begin() + static_cast<std::ptrdiff_t>(head_), slots_.end(), t,
+                       [](TimePs x, const Slot& s) { return x < s.end; });
+  return static_cast<unsigned>(
+      std::count_if(first, slots_.end(), [t](const Slot& s) { return s.issue <= t; }));
+}
+
+namespace {
+
+const PsPinConfig& validated(const PsPinConfig& c) {
+  auto require = [](bool ok, const char* field) {
+    if (!ok) throw std::invalid_argument(std::string("PsPinConfig::") + field + " is out of range");
+  };
+  require(c.num_clusters > 0, "num_clusters");
+  require(c.hpus_per_cluster > 0, "hpus_per_cluster");
+  require(c.cycle > 0, "cycle");
+  require(c.pkt_buffer_bytes_per_cycle > 0.0, "pkt_buffer_bytes_per_cycle");
+  require(c.l1_copy_bytes_per_cycle > 0.0, "l1_copy_bytes_per_cycle");
+  require(c.egress_queue_depth > 0, "egress_queue_depth");
+  return c;
+}
+
+}  // namespace
+
 PsPinDevice::PsPinDevice(sim::Simulator& simulator, PsPinConfig config)
     : sim_(simulator),
-      config_(config),
+      config_(validated(config)),
       pkt_buffer_dma_(simulator,
                       Bandwidth::from_gbytes_per_sec(config.pkt_buffer_bytes_per_cycle *
                                                      (1e3 / static_cast<double>(config.cycle)))),
-      scheduler_(simulator, Bandwidth::from_gbps(1.0)) {
+      scheduler_(simulator, Bandwidth::from_gbps(1.0)),
+      egress_(config.egress_queue_depth) {
   const double bytes_per_sec_factor = 1e12 / static_cast<double>(config.cycle) / 1e9;
   for (unsigned c = 0; c < config_.num_clusters; ++c) {
     l1_dma_.push_back(std::make_unique<sim::FifoServer>(
@@ -46,33 +103,13 @@ bool PsPinDevice::install(spin::ExecutionContext ctx) {
 void PsPinDevice::uninstall() { ctx_.reset(); }
 
 TimePs PsPinDevice::egress_accept(TimePs want) {
-  // Every future query's `want` is >= sim_.now() (replay cursors never run
-  // behind the dispatch event), so slots drained by now can be dropped.
-  std::erase_if(egress_slots_,
-                [now = sim_.now()](const EgressSlot& s) { return s.end <= now; });
-
-  // Commands occupying the queue at `want`: already issued, not yet drained.
-  std::vector<TimePs> ends;
-  ends.reserve(egress_slots_.size());
-  for (const auto& s : egress_slots_) {
-    if (s.issue <= want && s.end > want) ends.push_back(s.end);
-  }
-  if (ends.size() >= config_.egress_queue_depth) {
-    // Wait until enough of them drain that a slot frees: the
-    // (count - depth + 1)-th completion.
-    const std::size_t idx = ends.size() - config_.egress_queue_depth;
-    std::nth_element(ends.begin(), ends.begin() + static_cast<std::ptrdiff_t>(idx), ends.end());
-    want = std::max(want, ends[idx]);
-  }
-  return want;
+  // Replay cursors never run behind the dispatch event, so a slot drained
+  // by now can cover no later query.
+  egress_.drain(sim_.now());
+  return egress_.accept(want);
 }
 
-void PsPinDevice::note_egress_slot(TimePs issue, TimePs end) {
-  egress_slots_.push_back(EgressSlot{issue, end});
-}
-
-TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, unsigned cluster, TimePs start) {
-  (void)cluster;
+TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
   TimePs cursor = start;
   std::uint64_t charged = 0;
   for (auto& cmd : ctx.commands()) {
@@ -89,7 +126,7 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, unsigned cluste
         const TimePs earliest = std::max(cursor, msg.last_send_start + 1);
         const auto w = nic_->egress_send(std::move(cmd.pkt), earliest);
         msg.last_send_start = w.start;
-        note_egress_slot(cursor, w.end);
+        egress_.add(cursor, w.end);
         break;
       }
       case spin::HandlerCtx::Cmd::Kind::kSendFromStorage: {
@@ -102,7 +139,7 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, unsigned cluste
         const TimePs earliest = std::max({ready, msg.last_send_start + 1});
         const auto w = nic_->egress_send(std::move(cmd.pkt), earliest);
         msg.last_send_start = w.start;
-        note_egress_slot(cursor, w.end);
+        egress_.add(cursor, w.end);
         break;
       }
       case spin::HandlerCtx::Cmd::Kind::kDma: {
@@ -153,7 +190,7 @@ TimePs PsPinDevice::run_handler(spin::HandlerType type, const spin::Handler& han
       [this](std::uint64_t addr, std::uint64_t len) { return nic_->storage_trimmed(addr, len); });
   handler(ctx, pkt);
 
-  const TimePs end = replay(ctx, msg, msg.cluster, start);
+  const TimePs end = replay(ctx, msg, start);
   *it = end;
   stats_.record(type, end - start, ctx.instr());
   last_handler_end_ = std::max(last_handler_end_, end);
@@ -269,7 +306,7 @@ void PsPinDevice::run_cleanup(const spin::MessageKey& key) {
 
   spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot);
   ctx_->cleanup_handler(ctx, key);
-  const TimePs end = replay(ctx, msg, msg.cluster, start);
+  const TimePs end = replay(ctx, msg, start);
   if (obs::kObsEnabled && span_trace_) {
     span_trace_->record({nic_->node_id(),
                          msg.cluster * 1000 +
@@ -293,13 +330,7 @@ unsigned PsPinDevice::busy_hpus(TimePs t) const {
   return busy;
 }
 
-unsigned PsPinDevice::egress_in_flight(TimePs t) const {
-  unsigned n = 0;
-  for (const auto& s : egress_slots_) {
-    if (s.issue <= t && s.end > t) ++n;
-  }
-  return n;
-}
+unsigned PsPinDevice::egress_in_flight(TimePs t) const { return egress_.in_flight(t); }
 
 void PsPinDevice::bind_metrics(obs::MetricRegistry& reg, const std::string& prefix) {
   reg.counter_cell(prefix + ".payload_bytes_done", &payload_bytes_done_);

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -88,8 +87,52 @@ class HandlerStats {
   Summary instr_[3];
 };
 
+/// Calendar of the bounded egress command queue: one (issue, drain) slot
+/// per accepted send. Handler timelines are computed eagerly and replayed
+/// out of dispatch order, so a send at `want` competes only with the slots
+/// already issued by `want` and not yet drained at `want`.
+///
+/// The slots live in one array sorted by drain time. drain(now) moves a
+/// cursor past the drained prefix, and the array is compacted once that
+/// prefix outgrows the live part, so steady state allocates nothing.
+class EgressSlots {
+ public:
+  explicit EgressSlots(unsigned depth) : depth_(depth) {}
+
+  /// Forget the slots drained by `now`.
+  void drain(TimePs now);
+
+  /// When a send wanting to issue at `want` gets a slot: `want` if fewer
+  /// than `depth` live slots cover it, else the drain time of the
+  /// depth-th latest-draining one among them, i.e. the (count - depth + 1)-th
+  /// completion. Walks down from the latest drain time, skipping slots
+  /// issued after `want`, and stops at the first slot drained by `want`.
+  TimePs accept(TimePs want) const;
+
+  /// Record a send occupying a slot from `issue` until it drains at `end`.
+  void add(TimePs issue, TimePs end);
+
+  /// Live slots occupied at `t`: issued at or before `t`, drained after it.
+  unsigned in_flight(TimePs t) const;
+
+  /// Slots not yet drained as of the last drain().
+  std::size_t live() const { return slots_.size() - head_; }
+
+ private:
+  struct Slot {
+    TimePs issue;
+    TimePs end;
+  };
+  unsigned depth_;
+  std::vector<Slot> slots_;  // sorted by `end` from head_ on
+  std::size_t head_ = 0;     // slots before it were drained
+};
+
 class PsPinDevice {
  public:
+  /// Throws std::invalid_argument naming the field when `config` has a
+  /// zero cluster, HPU, egress-depth or cycle count, or a non-positive
+  /// datapath width.
   PsPinDevice(sim::Simulator& simulator, PsPinConfig config = {});
 
   void attach_nic(spin::NicServices& nic) { nic_ = &nic; }
@@ -158,7 +201,6 @@ class PsPinDevice {
     TimePs dma_durable_max = 0;   ///< storage fence horizon
     TimePs last_activity = 0;
     bool ch_issued = false;
-    bool reaped = false;
     std::optional<net::Packet> completion_pkt;  ///< held until all PHs done
     TimePs completion_ready = 0;
   };
@@ -168,12 +210,12 @@ class PsPinDevice {
   TimePs run_handler(spin::HandlerType type, const spin::Handler& handler,
                      const net::Packet& pkt, MsgState& msg, TimePs ready);
 
-  /// Replay a recorded context timeline starting at `start` on an HPU of
-  /// `cluster`; returns the end time.
-  TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, unsigned cluster, TimePs start);
+  /// Replay a recorded context timeline starting at `start`; returns the
+  /// end time.
+  TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start);
 
+  /// Acquire an egress command-queue slot for a send ready at `want`.
   TimePs egress_accept(TimePs want);
-  void note_egress_slot(TimePs issue, TimePs end);
 
   void maybe_run_completion(const spin::MessageKey& key, MsgState& msg);
   void arm_cleanup(const spin::MessageKey& key);
@@ -190,14 +232,7 @@ class PsPinDevice {
   std::vector<std::unique_ptr<sim::FifoServer>> l1_dma_;  // per cluster
   std::vector<std::vector<TimePs>> hpu_free_;             // per cluster, per HPU
 
-  // Bounded egress command queue. Timelines are computed eagerly and can be
-  // evaluated out of dispatch order, so each accepted send is kept as an
-  // (issue, drain) interval and occupancy is counted per query time.
-  struct EgressSlot {
-    TimePs issue;
-    TimePs end;
-  };
-  std::vector<EgressSlot> egress_slots_;
+  EgressSlots egress_;  // bounded egress command queue
 
   std::unordered_map<spin::MessageKey, MsgState, spin::MessageKeyHash> messages_;
   unsigned next_cluster_ = 0;

@@ -9,7 +9,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -102,14 +103,14 @@ class GapServer {
     if (duration == 0) return {t, t};
 
     // Step back to the interval that may cover `t`.
-    auto next = busy_.lower_bound(t);
-    if (next != busy_.begin()) {
-      auto prev = std::prev(next);
-      if (prev->second > t) t = prev->second;
+    auto next = first_starting_at(t);
+    if (next != live_begin()) {
+      const auto prev = std::prev(next);
+      if (prev->end > t) t = prev->end;
     }
     // Walk forward until a gap of `duration` fits before the next interval.
-    while (next != busy_.end() && next->first < t + duration) {
-      t = std::max(t, next->second);
+    while (next != busy_.end() && next->start < t + duration) {
+      t = std::max(t, next->end);
       ++next;
     }
     return {t, t + duration};
@@ -119,93 +120,71 @@ class GapServer {
   void commit(const Window& w) {
     if (w.end == w.start) return;
     insert(w);
-    total_time_ += w.end - w.start;
   }
 
   /// Earliest instant with no reservation at or after now (end of the last
   /// busy interval, or now if idle).
   TimePs horizon() const {
-    if (busy_.empty()) return sim_.now();
-    return std::max(sim_.now(), busy_.rbegin()->second);
+    if (head_ == busy_.size()) return sim_.now();
+    return std::max(sim_.now(), busy_.back().end);
   }
 
   Bandwidth rate() const { return rate_; }
-  std::size_t interval_count() const { return busy_.size(); }
+  std::size_t interval_count() const { return busy_.size() - head_; }
 
  private:
+  using Iter = std::vector<Window>::iterator;
+
+  Iter live_begin() { return busy_.begin() + static_cast<std::ptrdiff_t>(head_); }
+
+  /// First live interval starting at or after `t`.
+  Iter first_starting_at(TimePs t) {
+    return std::partition_point(live_begin(), busy_.end(),
+                                [t](const Window& b) { return b.start < t; });
+  }
+
   void insert(Window w) {
-    // Coalesce with touching/overlapping neighbours to keep the map small.
-    auto it = busy_.lower_bound(w.start);
-    if (it != busy_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= w.start) {
-        w.start = prev->first;
-        w.end = std::max(w.end, prev->second);
-        busy_.erase(prev);
+    // Coalesce with touching/overlapping neighbours to keep the calendar
+    // small; [first, last) is the run of intervals `w` absorbs.
+    auto first = first_starting_at(w.start);
+    if (first != live_begin()) {
+      const auto prev = std::prev(first);
+      if (prev->end >= w.start) {
+        w.start = prev->start;
+        first = prev;
       }
     }
-    it = busy_.lower_bound(w.start);
-    while (it != busy_.end() && it->first <= w.end) {
-      w.end = std::max(w.end, it->second);
-      it = busy_.erase(it);
+    auto last = first;
+    while (last != busy_.end() && last->start <= w.end) {
+      w.end = std::max(w.end, last->end);
+      ++last;
     }
-    busy_[w.start] = w.end;
+    if (first == last) {
+      busy_.insert(first, w);
+    } else {
+      *first = w;
+      busy_.erase(std::next(first), last);
+    }
   }
 
   void prune() {
     // Reservations never start before sim.now(), so fully-past intervals
-    // can be dropped.
+    // can be dropped: the cursor skips them, and the array is compacted
+    // once they outnumber the live ones (amortized O(1) moves each).
     const TimePs now = sim_.now();
-    while (!busy_.empty() && busy_.begin()->second <= now) {
-      busy_.erase(busy_.begin());
+    while (head_ < busy_.size() && busy_[head_].end <= now) ++head_;
+    if (head_ > 0 && 2 * head_ >= busy_.size()) {
+      busy_.erase(busy_.begin(), live_begin());
+      head_ = 0;
     }
   }
 
   Simulator& sim_;
   Bandwidth rate_;
-  std::map<TimePs, TimePs> busy_;  // start -> end, disjoint, sorted
-  std::uint64_t total_time_ = 0;
-};
-
-/// Counting semaphore over simulated time: callers request a credit and are
-/// called back when one is granted. Used for bounded queues (NIC egress
-/// command slots, ingress buffer capacity) whose exhaustion must stall the
-/// producer rather than drop work (lossless fabric assumption, paper §VII).
-class CreditPool {
- public:
-  CreditPool(Simulator& simulator, std::uint32_t credits)
-      : sim_(simulator), available_(credits), capacity_(credits) {}
-
-  /// Invoke `fn` as soon as a credit is available (possibly immediately).
-  void acquire(EventFn fn) {
-    if (available_ > 0 && waiters_.empty()) {
-      --available_;
-      fn();
-    } else {
-      waiters_.push_back(std::move(fn));
-    }
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      EventFn fn = std::move(waiters_.front());
-      waiters_.erase(waiters_.begin());
-      // Hand the credit over on the event queue to keep causality clean.
-      sim_.schedule(0, std::move(fn));
-    } else {
-      ++available_;
-    }
-  }
-
-  std::uint32_t available() const { return available_; }
-  std::uint32_t capacity() const { return capacity_; }
-  std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  Simulator& sim_;
-  std::uint32_t available_;
-  std::uint32_t capacity_;
-  std::vector<EventFn> waiters_;
+  // Busy intervals sorted by start, disjoint and non-touching from head_
+  // on; the ones before head_ ended by the last prune().
+  std::vector<Window> busy_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace nadfs::sim

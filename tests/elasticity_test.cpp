@@ -252,7 +252,9 @@ std::uint64_t run_kill_restart_rejoin(std::uint64_t seed) {
   }
   const auto spare = cluster.metadata().try_allocate_spare(4 * KiB, avoid);
   EXPECT_TRUE(spare.has_value()) << "seed " << seed;
-  if (spare.has_value()) EXPECT_EQ(spare->node, victim) << "seed " << seed;
+  if (spare.has_value()) {
+    EXPECT_EQ(spare->node, victim) << "seed " << seed;
+  }
 
   // Zero data loss: the repaired object reads byte-equal, and the load
   // object holds the last successful write.

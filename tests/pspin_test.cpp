@@ -1,10 +1,13 @@
 // Unit tests of the PsPIN device model against a fake NIC: ordering
 // guarantees (HH before PHs, CH after all PHs), the calibrated ingress
 // pipeline, the record-then-replay cost model, egress command-queue
-// stalling, storage fences, and the cleanup-handler extension.
+// stalling, storage fences, the cleanup-handler extension, and rejection
+// of invalid configurations.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "pspin/device.hpp"
 #include "sim/simulator.hpp"
@@ -356,6 +359,56 @@ TEST(PsPinDevice, PayloadBytesAccounting) {
   rig.sim.run();
   EXPECT_EQ(rig.dev.payload_bytes_processed(), 4000u);
   EXPECT_GT(rig.dev.last_handler_end(), 0u);
+}
+
+// ------------------------------------------------------ config validation
+
+/// Building a device from `cfg` must throw std::invalid_argument naming
+/// `field`.
+void expect_rejected(const PsPinConfig& cfg, const std::string& field) {
+  sim::Simulator sim;
+  try {
+    PsPinDevice dev(sim, cfg);
+    ADD_FAILURE() << "config with bad " << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(PsPinDevice, RejectsZeroClusters) {
+  PsPinConfig cfg;
+  cfg.num_clusters = 0;  // on_packet would take next_cluster_ % 0
+  expect_rejected(cfg, "num_clusters");
+}
+
+TEST(PsPinDevice, RejectsZeroHpusPerCluster) {
+  PsPinConfig cfg;
+  cfg.hpus_per_cluster = 0;  // run_handler would pick from an empty pool
+  expect_rejected(cfg, "hpus_per_cluster");
+}
+
+TEST(PsPinDevice, RejectsZeroCycle) {
+  PsPinConfig cfg;
+  cfg.cycle = 0;
+  expect_rejected(cfg, "cycle");
+}
+
+TEST(PsPinDevice, RejectsNonPositivePacketBufferWidth) {
+  PsPinConfig cfg;
+  cfg.pkt_buffer_bytes_per_cycle = 0.0;
+  expect_rejected(cfg, "pkt_buffer_bytes_per_cycle");
+}
+
+TEST(PsPinDevice, RejectsNonPositiveL1CopyWidth) {
+  PsPinConfig cfg;
+  cfg.l1_copy_bytes_per_cycle = -1.0;
+  expect_rejected(cfg, "l1_copy_bytes_per_cycle");
+}
+
+TEST(PsPinDevice, RejectsZeroEgressQueueDepth) {
+  PsPinConfig cfg;
+  cfg.egress_queue_depth = 0;  // a zero-depth queue could never take a send
+  expect_rejected(cfg, "egress_queue_depth");
 }
 
 TEST(HandlerStatsTest, ResetClears) {

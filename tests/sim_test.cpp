@@ -237,52 +237,5 @@ TEST(FifoServer, TracksTotalBytes) {
   EXPECT_EQ(srv.total_bytes(), 30u);
 }
 
-// ------------------------------------------------------------ CreditPool
-
-TEST(CreditPool, GrantsImmediatelyWhenAvailable) {
-  Simulator s;
-  CreditPool pool(s, 2);
-  int granted = 0;
-  pool.acquire([&] { ++granted; });
-  pool.acquire([&] { ++granted; });
-  EXPECT_EQ(granted, 2);
-  EXPECT_EQ(pool.available(), 0u);
-}
-
-TEST(CreditPool, QueuesWhenExhausted) {
-  Simulator s;
-  CreditPool pool(s, 1);
-  int granted = 0;
-  pool.acquire([&] { ++granted; });
-  pool.acquire([&] { ++granted; });
-  EXPECT_EQ(granted, 1);
-  EXPECT_EQ(pool.waiting(), 1u);
-  pool.release();
-  s.run();
-  EXPECT_EQ(granted, 2);
-}
-
-TEST(CreditPool, ReleaseWithoutWaitersRestoresCredit) {
-  Simulator s;
-  CreditPool pool(s, 1);
-  pool.acquire([] {});
-  pool.release();
-  EXPECT_EQ(pool.available(), 1u);
-}
-
-TEST(CreditPool, FifoGrantOrder) {
-  Simulator s;
-  CreditPool pool(s, 1);
-  std::vector<int> order;
-  pool.acquire([&] { order.push_back(0); });
-  pool.acquire([&] { order.push_back(1); });
-  pool.acquire([&] { order.push_back(2); });
-  pool.release();
-  s.run();
-  pool.release();
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
 }  // namespace
 }  // namespace nadfs::sim

@@ -324,8 +324,8 @@ TEST(BetaTree, ClusterDigestSerialMatchesParallel) {
 /// GapServer at the ingest bandwidth, write = reserve(bytes), trim/read
 /// free. The functional store is a flat byte array.
 struct LegacyModel {
-  explicit LegacyModel(sim::Simulator& sim, Bandwidth ingest, std::size_t span)
-      : ingest(sim, ingest), bytes(span, 0) {}
+  explicit LegacyModel(sim::Simulator& sim, Bandwidth ingest_rate, std::size_t span)
+      : ingest(sim, ingest_rate), bytes(span, 0) {}
 
   TimePs write(std::uint64_t addr, ByteSpan data, TimePs earliest) {
     std::copy(data.begin(), data.end(), bytes.begin() + static_cast<std::ptrdiff_t>(addr));
