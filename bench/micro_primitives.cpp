@@ -252,12 +252,14 @@ BENCHMARK(BM_BuildWritePackets)->Arg(4 * 1024)->Arg(256 * 1024);
 //
 // Head-to-head goodput of the calendar queue vs the retained PR 1 binary
 // heap (tests/sim_reference_heap.hpp) on identical operation sequences:
-// fill to N pending, steady-state churn (pop one, push a successor), full
-// drain. Both structures pop the exact same (when, seq) order — proven by
+// fill to N pending, steady-state churn (pop one, run it, push it back as
+// its own successor), full drain. Both queue the simulator's real payload,
+// a sim::EventFn, so the rates include moving callables around. Both
+// structures pop the exact same (when, seq) order — proven by
 // tests/sim_queue_differential_test.cpp — so the per-phase op rates are
-// directly comparable, and a per-run checksum over popped entries double-
-// checks it here at bench scale. Acceptance: >= 2x total ops/s at 1e6
-// pending (uniform).
+// directly comparable, and a per-run checksum over popped entries (and the
+// ids their callables fold in when they run) double-checks it here at
+// bench scale. Acceptance: >= 2x total ops/s at 1e6 pending (uniform).
 
 struct QueuePhaseRates {
   double fill_mops = 0.0;   // pushes/s during fill, in millions
@@ -305,23 +307,28 @@ QueuePhaseRates run_queue_goodput(std::size_t n, std::size_t churn_ops, bool bur
   Queue q;
   DelayModel delays(bursty, n, /*seed=*/0x5EED);
   QueuePhaseRates r;
+  const auto fold = [&r](std::uint64_t v) { r.checksum = r.checksum * 1099511628211ull + v; };
 
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < n; ++i) {
-    q.push(delays.next_fill(), static_cast<std::uint64_t>(i));
+    const auto id = static_cast<std::uint64_t>(i);
+    q.push(delays.next_fill(), sim::EventFn{[&fold, id] { fold(id); }});
   }
   const auto t1 = Clock::now();
-  // Steady state: pop the earliest, reschedule a successor relative to it —
-  // the hold model of a running simulation (every event spawns the next).
+  // Steady state: pop the earliest, run it and reschedule it relative to
+  // itself — the hold model of a running simulation (every event spawns
+  // the next).
   for (std::size_t i = 0; i < churn_ops / 2; ++i) {
     auto e = q.pop();
-    r.checksum = r.checksum * 1099511628211ull + (e.when ^ e.seq);
-    q.push(e.when + delays.next_churn(), e.payload);
+    fold(e.when ^ e.seq);
+    e.payload();
+    q.push(e.when + delays.next_churn(), std::move(e.payload));
   }
   const auto t2 = Clock::now();
   while (!q.empty()) {
     auto e = q.pop();
-    r.checksum = r.checksum * 1099511628211ull + (e.when ^ e.seq);
+    fold(e.when ^ e.seq);
+    e.payload();
   }
   const auto t3 = Clock::now();
 
@@ -342,9 +349,9 @@ void run_event_queue_sweep() {
   std::size_t points = 0;
   for (const bool bursty : {false, true}) {
     for (const std::size_t n : {std::size_t{1'000'000}, std::size_t{4'000'000}}) {
-      const auto cal = run_queue_goodput<sim::CalendarQueue<std::uint64_t>>(n, churn_ops, bursty);
+      const auto cal = run_queue_goodput<sim::CalendarQueue<sim::EventFn>>(n, churn_ops, bursty);
       const auto heap =
-          run_queue_goodput<sim::ReferenceEventHeap<std::uint64_t>>(n, churn_ops, bursty);
+          run_queue_goodput<sim::ReferenceEventHeap<sim::EventFn>>(n, churn_ops, bursty);
       if (cal.checksum != heap.checksum) {
         std::fprintf(stderr, "FATAL: calendar/heap pop orders diverged (dist=%s n=%zu)\n",
                      bursty ? "bursty" : "uniform", n);

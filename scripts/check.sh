@@ -30,15 +30,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'SimQueueDifferential|CalendarQueue|EventFn|Determinism|EgressSlots|GapServer'
 
-# Reservation-calendar differential suites under two chaos seeds: the
-# randomized lockstep runs fold NADFS_CHAOS_SEED into their seeds, so each
-# seed replays different out-of-order query sequences. Under
-# CHECK_SANITIZE=1 this puts every vector insert, erase and compaction of
-# the calendars under ASan (invalidated iterators fail loudly).
+# Event-core and reservation-calendar differential suites under two chaos
+# seeds: the randomized lockstep runs fold NADFS_CHAOS_SEED into their
+# seeds, so each seed replays different operation sequences. Under
+# CHECK_SANITIZE=1 this puts the calendar queue's payload-slot reuse and
+# every vector insert, erase and compaction of the calendars under ASan
+# (a use of a vacated slot or an invalidated iterator fails loudly).
 for seed in 1 7; do
-  echo "== calendar differential suites under NADFS_CHAOS_SEED=$seed"
+  echo "== event-core + calendar differential suites under NADFS_CHAOS_SEED=$seed"
   NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'EgressSlotsDifferential|GapServerDifferential'
+    -R 'SimQueueDifferential|CalendarQueue|EventFn|EgressSlotsDifferential|GapServerDifferential'
 done
 
 # GF(2^8) kernel-tier matrix: rerun the EC suites under every tier the host

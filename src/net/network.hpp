@@ -18,6 +18,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -176,11 +178,17 @@ class Network {
 
   /// Route a hop event into `domain` when a map is set, else a plain
   /// schedule (current/external domain — serial behaviour, bit-identical).
-  void schedule_hop(sim::DomainId domain, TimePs when, sim::EventFn fn) {
+  /// Every hop carries a Packet, and the static_assert keeps it inline in
+  /// EventFn: a field added to Packet fails the build here instead of
+  /// costing two heap allocations per packet hop.
+  template <typename Hop>
+  void schedule_hop(sim::DomainId domain, TimePs when, Hop&& hop) {
+    static_assert(sim::EventFn::fits_inline<std::decay_t<Hop>>,
+                  "packet hop must fit EventFn inline");
     if (domains_mapped_) {
-      sim_.schedule_at_domain(domain, when, std::move(fn));
+      sim_.schedule_at_domain(domain, when, std::forward<Hop>(hop));
     } else {
-      sim_.schedule_at(when, std::move(fn));
+      sim_.schedule_at(when, std::forward<Hop>(hop));
     }
   }
   sim::DomainId domain_of_node(NodeId n) const {

@@ -88,11 +88,7 @@ void Nic::post_write(net::NodeId dst, std::uint64_t raddr, std::uint32_t rkey, B
 void Nic::post_read(net::NodeId dst, std::uint64_t raddr, std::uint32_t rkey, std::uint32_t len,
                     ReadCb cb) {
   const std::uint64_t msg_id = alloc_msg_id();
-  PendingRead pr;
-  pr.data.assign(len, 0);
-  pr.expected = static_cast<std::uint32_t>(std::max<std::size_t>(1, (len + net_.mtu() - 1) / net_.mtu()));
-  pr.cb = std::move(cb);
-  pending_reads_[msg_id] = std::move(pr);
+  pending_reads_[msg_id] = pending_read(len, std::move(cb));
 
   net::Packet p;
   p.src = id_;
@@ -150,12 +146,17 @@ void Nic::post_control(net::NodeId dst, net::Opcode opcode, std::uint64_t tag,
 }
 
 void Nic::expect_read_response(std::uint64_t tag, std::uint32_t len, ReadCb cb) {
+  pending_reads_[tag] = pending_read(len, std::move(cb));
+}
+
+Nic::PendingRead Nic::pending_read(std::uint32_t len, ReadCb cb) const {
   PendingRead pr;
   pr.data.assign(len, 0);
   pr.expected =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, (len + net_.mtu() - 1) / net_.mtu()));
+  pr.seen.assign(pr.expected, false);
   pr.cb = std::move(cb);
-  pending_reads_[tag] = std::move(pr);
+  return pr;
 }
 
 bool Nic::cancel_read(std::uint64_t tag) { return pending_reads_.erase(tag) != 0; }
@@ -187,6 +188,7 @@ TimePs Nic::dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) {
 
 void Nic::bind_metrics(obs::MetricRegistry& reg, const std::string& prefix) {
   reg.counter_cell(prefix + ".late_read_packets", &late_read_packets_);
+  reg.counter_cell(prefix + ".rejected_read_packets", &rejected_read_packets_);
   reg.counter_cell(prefix + ".steered_to_host", &steered_to_host_);
   reg.gauge(prefix + ".pending_reads",
             [this] { return static_cast<long long>(pending_reads_.size()); });
@@ -283,6 +285,15 @@ void Nic::on_packet(net::Packet&& pkt) {
       }
       PendingRead& pr = it->second;
       const std::size_t off = static_cast<std::size_t>(pkt.seq) * net_.mtu();
+      // Only the first copy of each in-range seq counts toward completion:
+      // a duplicate counted as an arrival would complete the read before
+      // its last packets landed, handing the caller zeros in their place.
+      if (pkt.seq >= pr.expected || off + pkt.data.size() > pr.data.size() ||
+          pr.seen[pkt.seq]) {
+        ++rejected_read_packets_;
+        return;
+      }
+      pr.seen[pkt.seq] = true;
       std::copy(pkt.data.begin(), pkt.data.end(),
                 pr.data.begin() + static_cast<std::ptrdiff_t>(off));
       pr.arrived++;
@@ -293,9 +304,12 @@ void Nic::on_packet(net::Packet&& pkt) {
         auto cb = std::move(pr.cb);
         auto data = std::move(pr.data);
         pending_reads_.erase(it);
-        sim_.schedule_at(done, [cb = std::move(cb), data = std::move(data), done]() mutable {
+        auto complete = [cb = std::move(cb), data = std::move(data), done]() mutable {
           cb(std::move(data), done);
-        });
+        };
+        static_assert(sim::EventFn::fits_inline<decltype(complete)>,
+                      "read completion must fit EventFn inline");
+        sim_.schedule_at(done, std::move(complete));
       }
       return;
     }

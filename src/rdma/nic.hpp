@@ -131,6 +131,9 @@ class Nic : public net::PacketSink, public spin::NicServices {
   bool cancel_read(std::uint64_t tag);
   std::size_t pending_read_count() const { return pending_reads_.size(); }
   std::uint64_t late_read_packets() const { return late_read_packets_; }
+  /// Response packets of a pending read that were dropped: a repeated seq
+  /// (a duplicated packet) or one that falls outside the read's length.
+  std::uint64_t rejected_read_packets() const { return rejected_read_packets_; }
 
   std::size_t armed_triggers() const { return triggers_.size(); }
 
@@ -203,9 +206,11 @@ class Nic : public net::PacketSink, public spin::NicServices {
   struct PendingRead {
     Bytes data;
     std::uint32_t expected = 0;
-    std::uint32_t arrived = 0;
+    std::uint32_t arrived = 0;  ///< distinct seqs landed
+    std::vector<bool> seen;     ///< by seq
     ReadCb cb;
   };
+  PendingRead pending_read(std::uint32_t len, ReadCb cb) const;
 
   void host_path_write(net::Packet&& pkt);
   void host_path_read_request(const net::Packet& pkt);
@@ -228,6 +233,7 @@ class Nic : public net::PacketSink, public spin::NicServices {
   std::unordered_map<std::uint64_t, WriteCb> pending_writes_;  // by msg_id
   std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
   std::uint64_t late_read_packets_ = 0;
+  std::uint64_t rejected_read_packets_ = 0;
 
   // key: src<<32 ^ msg_id-ish; see assembly_key().
   static std::uint64_t assembly_key(net::NodeId src, std::uint64_t msg_id) {

@@ -69,7 +69,7 @@ DomainId PartitionedEngine::current_domain() const {
   return sim_.external_domain_;
 }
 
-void PartitionedEngine::schedule(DomainId domain, TimePs when, EventFn fn, bool fence) {
+void PartitionedEngine::schedule(DomainId domain, TimePs when, EventFn&& fn, bool fence) {
   auto& t = g_lane_tls;
   const bool in_event = t.sim == static_cast<const void*>(&sim_);
   if (in_event && t.windowed) {

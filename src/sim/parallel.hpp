@@ -123,7 +123,7 @@ class PartitionedEngine {
   /// kCurrentDomain to inherit the executing lane (or the external
   /// domain outside events). `fence` turns the event into a fence.
   static constexpr DomainId kCurrentDomain = ~DomainId{0};
-  void schedule(DomainId domain, TimePs when, EventFn fn, bool fence);
+  void schedule(DomainId domain, TimePs when, EventFn&& fn, bool fence);
 
   DomainId current_domain() const;
 

@@ -13,7 +13,7 @@ thread_local LaneTls g_lane_tls;
 Simulator::Simulator() = default;
 Simulator::~Simulator() = default;
 
-void Simulator::schedule_at(TimePs when, EventFn fn) {
+void Simulator::schedule_at(TimePs when, EventFn&& fn) {
   if (part_) {
     part_->schedule(detail::PartitionedEngine::kCurrentDomain, when, std::move(fn), false);
     return;
@@ -24,7 +24,7 @@ void Simulator::schedule_at(TimePs when, EventFn fn) {
   queue_.push(when, std::move(fn));
 }
 
-void Simulator::schedule_at_domain(DomainId domain, TimePs when, EventFn fn) {
+void Simulator::schedule_at_domain(DomainId domain, TimePs when, EventFn&& fn) {
   if (part_) {
     part_->schedule(domain, when, std::move(fn), false);
     return;
@@ -32,7 +32,7 @@ void Simulator::schedule_at_domain(DomainId domain, TimePs when, EventFn fn) {
   schedule_at(when, std::move(fn));
 }
 
-void Simulator::schedule_fence_at(TimePs when, EventFn fn) {
+void Simulator::schedule_fence_at(TimePs when, EventFn&& fn) {
   if (part_) {
     part_->schedule(detail::PartitionedEngine::kCurrentDomain, when, std::move(fn), true);
     return;

@@ -10,16 +10,24 @@
 // Hot-path notes: every simulated packet turns into a handful of events, so
 // the queue is the single busiest data structure in the whole repo. Two
 // choices keep it allocation-lean:
-//  - EventFn is a move-only callable with inline storage (kInlineBytes);
-//    typical capture lists (this + a few scalars, or a moved-in Packet
-//    header struct) fit inline and never touch the heap. Oversized
-//    callables transparently fall back to a heap allocation.
+//  - EventFn is a move-only callable with kInlineBytes = 112 bytes of
+//    inline storage. That holds a moved-in net::Packet (80 B) plus up to
+//    four words of context, which covers every per-packet event: the
+//    network's packet hops are 104-112 B and the NIC's read completion is
+//    64 B. Both static_assert EventFn::fits_inline, so a field added to
+//    Packet fails the build instead of quietly costing two heap
+//    allocations per hop. Larger callables still work through one heap
+//    allocation.
 //  - The priority queue is a calendar queue (sim/calendar_queue.hpp):
-//    time-bucketed FIFO lanes with a far-future overflow heap, amortized
-//    O(1) per op on the densely populated NIC/link timelines where the
-//    PR 1 binary heap paid O(log n). Tie-breaking is byte-identical to
-//    the heap — strictly ascending (time, seq) — proven by the
-//    differential oracle harness in tests/sim_queue_differential_test.cpp.
+//    time-bucketed lanes with a far-future overflow heap, amortized O(1)
+//    per op on the densely populated NIC/link timelines where the binary
+//    heap it replaced paid O(log n). It orders 24-byte (when, seq, slot) keys
+//    and keeps the callables in a per-queue slab, so an EventFn moves into
+//    the queue once and out once; bucket sifts, staging and rebuilds copy
+//    keys only. That split is what makes a 128-byte EventFn affordable.
+//    Tie-breaking is byte-identical to the heap — strictly ascending
+//    (time, seq) — proven by the differential oracle harness in
+//    tests/sim_queue_differential_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -62,10 +70,17 @@ extern thread_local LaneTls g_lane_tls;
 
 /// Move-only type-erased `void()` callable with small-buffer optimization.
 /// Replaces std::function on the event hot path: scheduling an event whose
-/// capture state fits in kInlineBytes performs zero heap allocations.
+/// capture state fits inline (fits_inline) performs zero heap allocations.
 class EventFn {
  public:
-  static constexpr std::size_t kInlineBytes = 48;
+  static constexpr std::size_t kInlineBytes = 112;
+
+  /// Whether a callable of type Fn is stored inline rather than on the heap.
+  /// The constructor decides with this, and hot-path sites static_assert it.
+  template <typename Fn>
+  static constexpr bool fits_inline = sizeof(Fn) <= kInlineBytes &&
+                                      alignof(Fn) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<Fn>;
 
   EventFn() = default;
 
@@ -74,8 +89,7 @@ class EventFn {
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor): callable wrapper
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (fits_inline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       vt_ = inline_vtable<Fn>();
     } else {
@@ -184,11 +198,13 @@ class Simulator {
   }
 
   /// Schedule `fn` to run `delay` after the current time.
-  void schedule(TimePs delay, EventFn fn) { schedule_at(now() + delay, std::move(fn)); }
+  void schedule(TimePs delay, EventFn&& fn) { schedule_at(now() + delay, std::move(fn)); }
 
   /// Schedule `fn` at an absolute time. Scheduling in the past is a hard
-  /// error: throws std::logic_error and leaves the queue untouched.
-  void schedule_at(TimePs when, EventFn fn);
+  /// error: throws std::logic_error and leaves the queue untouched. Every
+  /// schedule call takes the callable by rvalue reference, so an inline
+  /// one is relocated once, straight into the queue's payload slab.
+  void schedule_at(TimePs when, EventFn&& fn);
 
   /// Run until the event queue drains. Returns the final time.
   TimePs run();
@@ -238,7 +254,7 @@ class Simulator {
   /// std::logic_error. From outside any event, or into the executing
   /// event's own domain, any future time is legal. Serial mode: plain
   /// schedule_at.
-  void schedule_at_domain(DomainId domain, TimePs when, EventFn fn);
+  void schedule_at_domain(DomainId domain, TimePs when, EventFn&& fn);
 
   /// Schedule a fence: an event that executes with every lane parked and
   /// synchronized, at exactly the (when, seq) position a plain schedule
@@ -249,8 +265,10 @@ class Simulator {
   /// and therefore needs `delay >= lookahead()`, like any cross-domain
   /// event; from outside events (setup, or another fence body) any future
   /// time is legal. Serial mode: plain schedule/schedule_at.
-  void schedule_fence(TimePs delay, EventFn fn) { schedule_fence_at(now() + delay, std::move(fn)); }
-  void schedule_fence_at(TimePs when, EventFn fn);
+  void schedule_fence(TimePs delay, EventFn&& fn) {
+    schedule_fence_at(now() + delay, std::move(fn));
+  }
+  void schedule_fence_at(TimePs when, EventFn&& fn);
 
   /// Default domain for events scheduled from outside any event (setup
   /// code, test drivers). 0 unless overridden via DomainScope.

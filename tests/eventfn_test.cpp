@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "net/packet.hpp"
 #include "sim/simulator.hpp"
 
 namespace nadfs::sim {
@@ -214,6 +215,56 @@ TEST(EventFn, LargeArrayCaptureRoundTrips) {
   std::uint32_t expect = 0;
   for (std::size_t i = 0; i < big.size(); ++i) expect += static_cast<std::uint8_t>(i * 7);
   EXPECT_EQ(sum, expect);
+}
+
+TEST(EventFn, PacketHopCaptureStaysInlineAndKeepsItsBytes) {
+  // The shape of the largest per-packet hop (Network::forward_at_leaf): a
+  // moved-in net::Packet plus four words of context. The first capture
+  // counts its moves, which pins the inline path: relocating an inline
+  // EventFn move-constructs the callable, a heap one would steal a pointer.
+  struct MoveCounter {
+    explicit MoveCounter(Counters* counters) : c(counters) { ++c->constructed; }
+    MoveCounter(MoveCounter&& other) noexcept : c(other.c) { ++c->moved; }
+    MoveCounter(const MoveCounter&) = delete;
+    MoveCounter& operator=(const MoveCounter&) = delete;
+    MoveCounter& operator=(MoveCounter&&) = delete;
+    ~MoveCounter() { ++c->destroyed; }
+    Counters* c;
+  };
+  net::Packet pkt;
+  pkt.seq = 3;
+  pkt.pkt_count = 8;
+  pkt.msg_id = 0xFEED;
+  pkt.data.resize(2048);
+  for (std::size_t i = 0; i < pkt.data.size(); ++i) {
+    pkt.data[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  const Bytes sent = pkt.data;
+
+  Counters c;
+  net::Packet got;
+  {
+    const std::uint32_t spine = 2;
+    const std::size_t wire = sent.size() + net::kTransportHeaderBytes;
+    auto hop = [counter = MoveCounter(&c), spine, wire, &got, p = std::move(pkt)]() mutable {
+      EXPECT_EQ(spine, 2u);
+      EXPECT_EQ(wire, 2048 + net::kTransportHeaderBytes);
+      got = std::move(p);
+    };
+    static_assert(EventFn::fits_inline<decltype(hop)>);
+    EventFn fn{std::move(hop)};
+    const int moves_after_wrap = c.moved;
+    EventFn moved = std::move(fn);
+    EXPECT_EQ(c.moved, moves_after_wrap + 1);  // relocated: inline storage
+    EventFn again = std::move(moved);
+    EXPECT_EQ(c.moved, moves_after_wrap + 2);
+    again();
+  }
+  EXPECT_EQ(c.live(), 0);
+  EXPECT_EQ(got.seq, 3u);
+  EXPECT_EQ(got.pkt_count, 8u);
+  EXPECT_EQ(got.msg_id, 0xFEEDu);
+  EXPECT_EQ(got.data, sent);
 }
 
 TEST(EventFn, DefaultConstructedIsEmpty) {

@@ -3,6 +3,8 @@
 // (the HyperLoop substrate), and the host-facing hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/network.hpp"
 #include "rdma/nic.hpp"
 #include "sim/simulator.hpp"
@@ -79,6 +81,38 @@ TEST(RdmaNic, ReadReturnsRemoteData) {
                   [&](Bytes d, TimePs) { got = std::move(d); });
   rig.sim.run();
   EXPECT_EQ(got, data);
+}
+
+TEST(RdmaNic, ReadUnderDuplicateFaultsReturnsExactBytes) {
+  // Regression: every response packet used to count as an arrival, so
+  // duplicated packets completed an 8 KiB read after half its packets, with
+  // zeros where the rest belonged. With every packet duplicated (the read
+  // request too, so two response trains come back), the read must complete
+  // exactly once with the remote bytes.
+  Rig rig;
+  net::FaultPlan plan;
+  plan.set_duplicate_rate(1.0);
+  rig.net.install_faults(plan);
+  Bytes data(8 * KiB);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  rig.mem_b.write(0x400, data);
+  const auto rkey = rig.b.register_mr(0, 1 * MiB);
+
+  int calls = 0;
+  Bytes got;
+  rig.a.post_read(rig.b.id(), 0x400, rkey, static_cast<std::uint32_t>(data.size()),
+                  [&](Bytes d, TimePs) {
+                    ++calls;
+                    got = std::move(d);
+                  });
+  rig.sim.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(got, data);
+  // Two trains of two copies each: one copy of each seq completes the read;
+  // every other packet is either rejected (read still pending) or late.
+  const std::uint64_t pkts = (data.size() + rig.net.mtu() - 1) / rig.net.mtu();
+  EXPECT_GT(rig.a.rejected_read_packets(), 0u);
+  EXPECT_EQ(rig.a.rejected_read_packets() + rig.a.late_read_packets(), 3 * pkts);
 }
 
 TEST(RdmaNic, SendDeliversAssembledMessage) {
@@ -226,6 +260,59 @@ TEST(RdmaNic, ExpectReadResponseAssemblesStream) {
   }
   rig.sim.run();
   EXPECT_EQ(got, full);
+}
+
+TEST(RdmaNic, ReadResponseOutsideTheReadIsRejected) {
+  // A response packet whose seq or bytes fall outside the expected read
+  // must neither write past the buffer nor count toward completion. Two
+  // reads: 4096 bytes (2 full packets) gets an empty seq 2 that starts
+  // exactly at its end; 5000 bytes gets a full-MTU last packet, 1144 bytes
+  // past its end.
+  Rig rig;
+  struct Read {
+    std::uint64_t tag;
+    Bytes full;
+    Bytes got;
+    int calls = 0;
+  };
+  Read reads[] = {{0x66, Bytes(4096), {}}, {0x77, Bytes(5000), {}}};
+  for (auto& r : reads) {
+    for (std::size_t i = 0; i < r.full.size(); ++i) {
+      r.full[i] = static_cast<std::uint8_t>(i + r.tag);
+    }
+    rig.a.expect_read_response(r.tag, static_cast<std::uint32_t>(r.full.size()),
+                               [&r](Bytes d, TimePs) {
+                                 ++r.calls;
+                                 r.got = std::move(d);
+                               });
+  }
+  const auto resp = [&](const Read& r, std::uint32_t seq, std::size_t n) {
+    net::Packet p;
+    p.src = rig.b.id();
+    p.dst = rig.a.id();
+    p.opcode = net::Opcode::kRdmaReadResp;
+    p.seq = seq;
+    p.user_tag = r.tag;
+    p.data.assign(n, 0xEE);
+    const std::size_t off = std::min<std::size_t>(seq * 2048, r.full.size());
+    std::copy_n(r.full.begin() + static_cast<std::ptrdiff_t>(off),
+                std::min(n, r.full.size() - off), p.data.begin());
+    rig.net.inject(std::move(p));
+  };
+  resp(reads[0], 2, 0);     // seq past the 2 expected packets
+  resp(reads[1], 2, 2048);  // the last packet, longer than the 904 bytes left
+  resp(reads[0], 0, 2048);
+  resp(reads[0], 1, 2048);
+  resp(reads[1], 0, 2048);
+  resp(reads[1], 1, 2048);
+  resp(reads[1], 2, 904);
+  rig.sim.run();
+  for (const auto& r : reads) {
+    EXPECT_EQ(r.calls, 1) << "tag " << r.tag;
+    EXPECT_EQ(r.got, r.full) << "tag " << r.tag;
+  }
+  EXPECT_EQ(rig.a.rejected_read_packets(), 2u);
+  EXPECT_EQ(rig.a.late_read_packets(), 0u);
 }
 
 TEST(RdmaNic, ConcurrentWritesFromTwoInitiators) {
