@@ -64,11 +64,15 @@ done
 # for *any* seed, not just the default. The regular ctest pass above already
 # ran them under seed 1; under CHECK_SANITIZE=1 this also puts the whole
 # fault path (deadline events, AckTracker::take, Nic::cancel_read, recovery
-# fallback) under ASan/UBSan. Failures print the fault counters.
+# fallback) under ASan/UBSan. Failures print the fault counters. The
+# packet-admission regressions ride along: DuplicatePackets (duplicated,
+# out-of-range and recounted packets at every reassembly point; under the
+# sanitizer an out-of-range seq stored by index fails loudly) and
+# ExtentBounds (writes stay inside the capability's extent).
 for seed in 1 7; do
   echo "== chaos/fault suites under NADFS_CHAOS_SEED=$seed"
   NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition'
+    -R 'Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|DuplicatePackets|ExtentBounds'
 done
 
 # Fabric partition chaos under both seeds (also covered by the loop above;
@@ -122,9 +126,10 @@ for par in 0 1; do
 done
 
 # Storage-engine gates (DESIGN.md §3h): the backend factory + per-node
-# selection, the Bε-tree flush/compaction/stall behaviour, and the
-# equivalence suites (LineRate op-for-op vs the pre-engine model, Bε-tree
-# vs flat oracle, randomized timing digests) under both chaos seeds AND
+# selection, the Bε-tree flush/compaction/stall behaviour and compaction
+# output retention, and the equivalence suites (LineRate op-for-op vs the
+# pre-engine model, Bε-tree vs flat oracle after every op, timing digests
+# pinned for both seeds) under both chaos seeds AND
 # with the partitioned scheduler forced OFF and ON — background
 # flush/compaction commits are sim events in the owning node's lane, so
 # serial == parallel must hold for every engine.

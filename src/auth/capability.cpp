@@ -60,9 +60,11 @@ bool CapabilityAuthority::verify(const Capability& cap, std::uint64_t now_ps, Ri
   if (!verify_mac(cap)) return false;
   if (cap.expiry_ps != 0 && now_ps > cap.expiry_ps) return false;
   if (!allows(cap.rights, requested)) return false;
+  // Compared as an offset into the extent, so no sum can wrap: with
+  // `addr + len` a huge len would wrap below the extent's end and pass.
   if (addr < cap.extent_base) return false;
-  if (addr + len > cap.extent_base + cap.extent_len) return false;
-  return true;
+  const std::uint64_t off = addr - cap.extent_base;
+  return off <= cap.extent_len && len <= cap.extent_len - off;
 }
 
 }  // namespace nadfs::auth

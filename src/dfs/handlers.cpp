@@ -321,6 +321,14 @@ void payload_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
   const std::size_t skip = pkt.first() ? entry.header_bytes : 0;
   const ByteSpan payload(pkt.data.data() + skip, pkt.data.size() - skip);
   const std::uint64_t data_off = pkt.first() ? 0 : pkt.raddr;
+  // The HH verified the capability over [0, total_len) only, and data_off
+  // is client-supplied: a packet reaching past it is dropped (compared
+  // without a sum that could wrap) and the request NACKed at completion.
+  if (data_off > entry.total_len || payload.size() > entry.total_len - data_off) {
+    entry.malformed = true;
+    ctx.charge(cost::kDropInstr, cost::kDropCycles);
+    return;
+  }
 
   switch (entry.resiliency) {
     case Resiliency::kNone:
@@ -361,6 +369,14 @@ void completion_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
   ReqEntry entry = std::move(it->second);
   st.requests.erase(it);
   st.table.release(entry.slot);
+
+  if (entry.malformed) {
+    ctx.charge(cost::kChInstr, cost::kChCycles);
+    ++st.malformed_requests;
+    ++st.nacks_sent;
+    send_control(ctx, entry.client, net::Opcode::kNack, entry.greq_id, DfsError::kMalformed);
+    return;
+  }
 
   if (entry.op == OpType::kTrim) {
     // Tombstone the extent, fence, ack — deletes get the same

@@ -54,6 +54,9 @@ struct ReqEntry {
   std::uint64_t total_len = 0;
   std::size_t header_bytes = 0;  ///< DFS header bytes in the first packet
   Resiliency resiliency = Resiliency::kNone;
+  /// A payload packet fell outside [0, total_len) and was dropped; the CH
+  /// NACKs kMalformed instead of acking.
+  bool malformed = false;
 
   /// coord_array of §V-A: the children this node forwards to, with the
   /// rewritten first-packet headers prepared by the HH.
@@ -136,8 +139,9 @@ struct DfsState {
   // obs::Counter cells: increment/read like the raw uint64s they replaced;
   // bind_metrics exposes them through the registry.
   obs::Counter auth_failures;   ///< capability verification failed (MAC/expiry)
-  /// Requests whose headers failed to parse (e.g. corrupted on the wire).
-  /// Disjoint from auth_failures: a request books exactly one of the two.
+  /// Requests whose headers failed to parse (e.g. corrupted on the wire),
+  /// or whose payload reached past the verified extent (NACKed kMalformed).
+  /// Disjoint from auth_failures: a request books at most one of the two.
   obs::Counter malformed_requests;
   obs::Counter table_denials;
   obs::Counter acks_sent;

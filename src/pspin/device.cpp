@@ -214,12 +214,18 @@ void PsPinDevice::on_packet(net::Packet&& pkt) {
   const spin::MessageKey key{pkt.src, pkt.msg_id};
   auto [mit, inserted] = messages_.try_emplace(key);
   MsgState& msg = mit->second;
+  // A duplicate admitted as a new packet would rerun its handlers (an EC
+  // accumulator would XOR it in twice, a repeated first packet would rerun
+  // the HH) and complete the message before its last packets landed.
+  if (!msg.arrivals.admit(pkt)) {
+    ++rejected_packets_;
+    if (inserted) messages_.erase(mit);
+    return;
+  }
   if (inserted) {
     msg.cluster = next_cluster_++ % config_.num_clusters;
     msg.flow_slot = next_flow_slot_++;
   }
-  msg.expected = pkt.pkt_count;
-  msg.arrived++;
   msg.last_activity = sim_.now();
 
   // Ingress pipeline: packet-buffer DMA, HW scheduler, L1 copy (Fig. 7).
@@ -255,8 +261,8 @@ void PsPinDevice::on_packet(net::Packet&& pkt) {
 }
 
 void PsPinDevice::maybe_run_completion(const spin::MessageKey& key, MsgState& msg) {
-  if (msg.ch_issued || !msg.completion_pkt || msg.arrived < msg.expected ||
-      msg.ph_done < msg.expected) {
+  if (msg.ch_issued || !msg.completion_pkt || !msg.arrivals.complete() ||
+      msg.ph_done < msg.arrivals.expected()) {
     return;
   }
   msg.ch_issued = true;
@@ -335,6 +341,7 @@ unsigned PsPinDevice::egress_in_flight(TimePs t) const { return egress_.in_fligh
 void PsPinDevice::bind_metrics(obs::MetricRegistry& reg, const std::string& prefix) {
   reg.counter_cell(prefix + ".payload_bytes_done", &payload_bytes_done_);
   reg.counter_cell(prefix + ".cleanup_runs", &cleanup_runs_);
+  reg.counter_cell(prefix + ".rejected_packets", &rejected_packets_);
   reg.gauge(prefix + ".live_messages",
             [this] { return static_cast<long long>(messages_.size()); });
   reg.gauge(prefix + ".busy_hpus", [this] { return static_cast<long long>(busy_hpus(sim_.now())); });

@@ -17,6 +17,9 @@
 //   occupancy, a bounded egress command queue drained at link rate, and
 //   the PCIe DMA engine. sPIN's ordering contract is enforced per message:
 //   HH completes before any PH starts; CH runs after all PHs complete.
+//   Each seq of a message runs its handlers once: a duplicated packet, a
+//   seq at or past the packet count, or a packet count that disagrees with
+//   the message's first packet is dropped and counted.
 //
 // The device also implements the cleanup-handler extension of §VII: a
 // message whose completion packet has not arrived within a timeout triggers
@@ -32,6 +35,7 @@
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "net/packet.hpp"
+#include "net/arrivals.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pspin/trace.hpp"
@@ -177,6 +181,10 @@ class PsPinDevice {
 
   std::uint64_t cleanup_runs() const { return cleanup_runs_; }
   std::size_t live_messages() const { return messages_.size(); }
+  /// Packets dropped before any handler ran: a repeated seq (a duplicated
+  /// packet), a seq at or past the packet count, or a packet count that
+  /// differs from the one on the message's first packet.
+  std::uint64_t rejected_packets() const { return rejected_packets_; }
 
   /// Total NIC memory visible to execution contexts (L1s + L2).
   std::size_t nic_memory_bytes() const {
@@ -187,8 +195,7 @@ class PsPinDevice {
   struct MsgState {
     unsigned cluster = 0;
     std::uint32_t flow_slot = 0;
-    std::uint32_t expected = 0;
-    std::uint32_t arrived = 0;
+    net::Arrivals arrivals;
     std::uint32_t ph_done = 0;    ///< PH timelines computed
     TimePs hh_end = 0;            ///< 0 until the HH timeline is known
     TimePs ph_end_max = 0;
@@ -244,6 +251,7 @@ class PsPinDevice {
   std::uint64_t payload_bytes_done_ = 0;
   TimePs last_handler_end_ = 0;
   std::uint64_t cleanup_runs_ = 0;
+  std::uint64_t rejected_packets_ = 0;
 };
 
 }  // namespace nadfs::pspin

@@ -154,9 +154,14 @@ Nic::PendingRead Nic::pending_read(std::uint32_t len, ReadCb cb) const {
   pr.data.assign(len, 0);
   pr.expected =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, (len + net_.mtu() - 1) / net_.mtu()));
-  pr.seen.assign(pr.expected, false);
   pr.cb = std::move(cb);
   return pr;
+}
+
+bool Nic::admit(Assembly& as, const net::Packet& pkt) {
+  if (as.arrivals.admit(pkt)) return true;
+  ++rejected_packets_;
+  return false;
 }
 
 bool Nic::cancel_read(std::uint64_t tag) { return pending_reads_.erase(tag) != 0; }
@@ -189,6 +194,7 @@ TimePs Nic::dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) {
 void Nic::bind_metrics(obs::MetricRegistry& reg, const std::string& prefix) {
   reg.counter_cell(prefix + ".late_read_packets", &late_read_packets_);
   reg.counter_cell(prefix + ".rejected_read_packets", &rejected_read_packets_);
+  reg.counter_cell(prefix + ".rejected_packets", &rejected_packets_);
   reg.counter_cell(prefix + ".steered_to_host", &steered_to_host_);
   reg.gauge(prefix + ".pending_reads",
             [this] { return static_cast<long long>(pending_reads_.size()); });
@@ -289,11 +295,10 @@ void Nic::on_packet(net::Packet&& pkt) {
       // a duplicate counted as an arrival would complete the read before
       // its last packets landed, handing the caller zeros in their place.
       if (pkt.seq >= pr.expected || off + pkt.data.size() > pr.data.size() ||
-          pr.seen[pkt.seq]) {
+          !pr.seen.insert(pkt.seq)) {
         ++rejected_read_packets_;
         return;
       }
-      pr.seen[pkt.seq] = true;
       std::copy(pkt.data.begin(), pkt.data.end(),
                 pr.data.begin() + static_cast<std::ptrdiff_t>(off));
       pr.arrived++;
@@ -351,7 +356,12 @@ void Nic::host_path_write(net::Packet&& pkt) {
 
   const std::uint64_t key = assembly_key(pkt.src, pkt.msg_id);
   Assembly& as = rx_writes_[key];
-  as.expected = pkt.pkt_count;
+  // Counted by distinct seq: a duplicate counted as an arrival would send
+  // the transport ack before the message's last packets are durable.
+  if (!admit(as, pkt)) {
+    if (as.arrivals.arrived() == 0) rx_writes_.erase(key);
+    return;
+  }
   if (pkt.first()) {
     as.first_raddr = pkt.raddr;
     as.user_tag = pkt.user_tag;
@@ -361,9 +371,8 @@ void Nic::host_path_write(net::Packet&& pkt) {
   const TimePs durable = memory_.write(pkt.raddr, pkt.data, w.end + config_.pcie_latency);
   as.durable_max = std::max(as.durable_max, durable);
   as.total_len += pkt.data.size();
-  as.arrived++;
 
-  if (as.arrived == as.expected) {
+  if (as.arrivals.complete()) {
     // Transport-level ack back to the initiator once everything is durable.
     net::Packet ack;
     ack.src = id_;
@@ -427,18 +436,22 @@ void Nic::host_path_dfs_request(net::Packet&& pkt) {
   // DFS software's command queue, preserving packet order by data offset.
   const std::uint64_t key = assembly_key(pkt.src, pkt.msg_id);
   Assembly& as = rx_dfs_[key];
-  if (as.arrived == 0) ++steered_to_host_;
-  as.expected = pkt.pkt_count;
-  if (as.parts.empty()) as.parts.resize(pkt.pkt_count);
+  if (!admit(as, pkt)) {
+    if (as.arrivals.arrived() == 0) rx_dfs_.erase(key);
+    return;
+  }
+  if (as.arrivals.arrived() == 1) {
+    ++steered_to_host_;
+    as.parts.resize(as.arrivals.expected());
+  }
 
   const TimePs t = sim_.now() + config_.rx_processing;
   const auto w = pcie_.reserve(pkt.data.size(), t);
   as.durable_max = std::max(as.durable_max, w.end + config_.pcie_latency);
   as.total_len += pkt.data.size();
   as.parts[pkt.seq] = std::move(pkt.data);
-  as.arrived++;
 
-  if (as.arrived == as.expected) {
+  if (as.arrivals.complete()) {
     Bytes msg;
     msg.reserve(static_cast<std::size_t>(as.total_len));
     for (auto& part : as.parts) msg.insert(msg.end(), part.begin(), part.end());
@@ -492,18 +505,20 @@ void Nic::host_path_read_request(const net::Packet& pkt) {
 void Nic::host_path_send(net::Packet&& pkt) {
   const std::uint64_t key = assembly_key(pkt.src, pkt.msg_id);
   Assembly& as = rx_sends_[key];
-  as.expected = pkt.pkt_count;
+  if (!admit(as, pkt)) {
+    if (as.arrivals.arrived() == 0) rx_sends_.erase(key);
+    return;
+  }
   as.user_tag = pkt.user_tag;
-  if (as.parts.empty()) as.parts.resize(pkt.pkt_count);
+  if (as.arrivals.arrived() == 1) as.parts.resize(as.arrivals.expected());
 
   const TimePs t = sim_.now() + config_.rx_processing;
   const auto w = pcie_.reserve(pkt.data.size(), t);
   as.durable_max = std::max(as.durable_max, w.end + config_.pcie_latency);
   as.total_len += pkt.data.size();
   as.parts[pkt.seq] = std::move(pkt.data);
-  as.arrived++;
 
-  if (as.arrived == as.expected) {
+  if (as.arrivals.complete()) {
     Bytes msg;
     msg.reserve(static_cast<std::size_t>(as.total_len));
     for (auto& part : as.parts) {

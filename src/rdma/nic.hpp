@@ -25,6 +25,7 @@
 #include "common/bytes.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
+#include "net/arrivals.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pspin/device.hpp"
@@ -134,6 +135,10 @@ class Nic : public net::PacketSink, public spin::NicServices {
   /// Response packets of a pending read that were dropped: a repeated seq
   /// (a duplicated packet) or one that falls outside the read's length.
   std::uint64_t rejected_read_packets() const { return rejected_read_packets_; }
+  /// Packets of a host-path write, send or DFS request that reassembly
+  /// dropped: a repeated seq, a seq at or past the packet count, or a
+  /// packet count that differs from the one on the message's first packet.
+  std::uint64_t rejected_packets() const { return rejected_packets_; }
 
   std::size_t armed_triggers() const { return triggers_.size(); }
 
@@ -195,8 +200,7 @@ class Nic : public net::PacketSink, public spin::NicServices {
     std::uint64_t len;
   };
   struct Assembly {
-    std::uint32_t expected = 0;
-    std::uint32_t arrived = 0;
+    net::Arrivals arrivals;
     std::uint64_t first_raddr = 0;
     std::uint64_t total_len = 0;
     std::uint64_t user_tag = 0;
@@ -207,10 +211,13 @@ class Nic : public net::PacketSink, public spin::NicServices {
     Bytes data;
     std::uint32_t expected = 0;
     std::uint32_t arrived = 0;  ///< distinct seqs landed
-    std::vector<bool> seen;     ///< by seq
+    net::SeqSet seen;
     ReadCb cb;
   };
   PendingRead pending_read(std::uint32_t len, ReadCb cb) const;
+  /// Count `pkt` as an arrival of `as` (net::Arrivals::admit); a rejected
+  /// packet is counted in rejected_packets_.
+  bool admit(Assembly& as, const net::Packet& pkt);
 
   void host_path_write(net::Packet&& pkt);
   void host_path_read_request(const net::Packet& pkt);
@@ -234,6 +241,7 @@ class Nic : public net::PacketSink, public spin::NicServices {
   std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
   std::uint64_t late_read_packets_ = 0;
   std::uint64_t rejected_read_packets_ = 0;
+  std::uint64_t rejected_packets_ = 0;
 
   // key: src<<32 ^ msg_id-ish; see assembly_key().
   static std::uint64_t assembly_key(net::NodeId src, std::uint64_t msg_id) {

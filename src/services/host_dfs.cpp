@@ -82,6 +82,14 @@ void HostDfsService::handle(net::NodeId src, std::uint64_t msg_id, Bytes request
       break;  // kWrite / kAppend fall through to the payload path
   }
   const ByteSpan payload(request.data() + req.header_bytes, request.size() - req.header_bytes);
+  // The capability check covered total_len bytes: a payload of any other
+  // length would write outside the verified extent.
+  if (payload.size() != req.wrh.total_len) {
+    ++failures_;
+    node_.nic().post_control(req.dfs.client_node, net::Opcode::kNack, req.dfs.greq_id,
+                             dispatched, static_cast<std::uint64_t>(dfs::DfsError::kMalformed));
+    return;
+  }
   if (req.wrh.resiliency == dfs::Resiliency::kErasureCoding &&
       req.wrh.role == dfs::EcRole::kParity) {
     handle_parity_contribution(req, payload, dispatched);

@@ -1,22 +1,19 @@
 #include "storage/engine/betree.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace nadfs::storage {
 
 namespace {
 
-/// [lo, hi) sub-extent of an extent that starts at `e_start`.
+/// [lo, hi) sub-extent of an extent that starts at `e_start`: the same
+/// buffer, a narrower window.
 template <typename ExtentT>
-ExtentT slice_extent(const ExtentT& e, std::uint64_t e_start, std::uint64_t lo, std::uint64_t hi) {
-  ExtentT out;
-  out.len = hi - lo;
-  out.zero = e.zero;
-  if (!e.zero) {
-    out.data.assign(e.data.begin() + static_cast<std::ptrdiff_t>(lo - e_start),
-                    e.data.begin() + static_cast<std::ptrdiff_t>(hi - e_start));
-  }
-  return out;
+ExtentT slice_extent(ExtentT e, std::uint64_t e_start, std::uint64_t lo, std::uint64_t hi) {
+  e.off += lo - e_start;
+  e.len = hi - lo;
+  return e;
 }
 
 }  // namespace
@@ -46,7 +43,7 @@ void BetaTreeEngine::run_insert(Run& run, std::uint64_t start, Extent e,
       run.emplace(e_lo, std::move(head));
     }
     if (e_hi > hi) {
-      Extent tail = slice_extent(old, e_lo, hi, e_hi);
+      Extent tail = slice_extent(std::move(old), e_lo, hi, e_hi);
       cost += extent_cost(tail);
       it = run.emplace(hi, std::move(tail)).first;
     }
@@ -79,8 +76,8 @@ std::uint64_t BetaTreeEngine::run_fill(const Run& run, std::uint64_t base, Bytes
         // Zero extents contribute zeros, which `out` already holds; they
         // only mark the range as served so older runs can't resurrect it.
         served += o_hi - o_lo;
-        std::copy(it->second.data.begin() + static_cast<std::ptrdiff_t>(o_lo - e_lo),
-                  it->second.data.begin() + static_cast<std::ptrdiff_t>(o_hi - e_lo),
+        const std::uint8_t* src = it->second.bytes();
+        std::copy(src + (o_lo - e_lo), src + (o_hi - e_lo),
                   out.begin() + static_cast<std::ptrdiff_t>(o_lo - base));
       }
       cur = o_hi;
@@ -121,7 +118,7 @@ TimePs BetaTreeEngine::write(std::uint64_t addr, ByteSpan data, TimePs earliest)
   const TimePs durable = w.end + cfg_.write_latency;
   Extent e;
   e.len = data.size();
-  e.data.assign(data.begin(), data.end());
+  e.buf = std::make_shared<const Bytes>(data.begin(), data.end());
   run_insert(active_, addr, std::move(e), active_cost_);
   if (active_cost_ >= cfg_.memtable_bytes) freeze_active(w.end);
   return apply_stall(durable);
@@ -218,12 +215,20 @@ void BetaTreeEngine::maybe_compact(std::size_t level, TimePs at) {
   lv.compact_inputs = lv.runs.size();
   // Merge eagerly: the inputs are immutable, so the merge computed now is
   // byte-identical to one computed at commit time, and in-flight reads
-  // keep resolving against the still-present inputs.
+  // keep resolving against the still-present inputs. Extents merge by
+  // reference; only a slice that no longer covers its whole buffer is
+  // copied out, so the output run pins no shadowed bytes.
   FrozenRun out;
   std::uint64_t in_cost = 0;
   for (std::size_t i = 0; i < lv.compact_inputs; ++i) {
     in_cost += lv.costs[i];
     for (const auto& [start, e] : lv.runs[i]) run_insert(out.run, start, e, out.cost);
+  }
+  for (auto& [start, e] : out.run) {
+    if (e.zero || (e.off == 0 && e.len == e.buf->size())) continue;
+    const std::uint8_t* src = e.bytes();
+    e.buf = std::make_shared<const Bytes>(src, src + e.len);
+    e.off = 0;
   }
   // The device reads every input byte and writes the merged run.
   const auto w = device_.reserve(in_cost + out.cost, at);
@@ -268,6 +273,21 @@ std::uint64_t BetaTreeEngine::backlog_runs() const {
   std::uint64_t runs = 0;
   for (const Level& level : levels_) runs += level.runs.size();
   return runs;
+}
+
+BetaTreeEngine::Retained BetaTreeEngine::retained_bytes() const {
+  std::unordered_set<const Bytes*> seen;
+  Retained r;
+  for (std::size_t level = 1; level < levels_.size(); ++level) {
+    for (const Run& run : levels_[level].runs) {
+      for (const auto& [start, e] : run) {
+        if (e.zero) continue;
+        r.logical += e.len;
+        if (seen.insert(e.buf.get()).second) r.held += e.buf->size();
+      }
+    }
+  }
+  return r;
 }
 
 void BetaTreeEngine::bind_metrics(obs::MetricRegistry& reg, const std::string& prefix) {

@@ -18,6 +18,14 @@
 // time and at commit time give identical bytes) which keeps reads correct
 // while the job is in flight.
 //
+// Extent buffers: a write copies its bytes once into an immutable shared
+// buffer, and every extent is a (buffer, offset, length) slice of one.
+// Splitting an extent, flushing a run and merging runs into a compaction
+// output all move references, never bytes. A compaction output gives any
+// extent that no longer covers its whole buffer a tight private copy, so
+// on-device levels keep alive only their logical bytes. Every cost is a
+// function of extent lengths alone, so sharing cannot move any timing.
+//
 // Write stalls: when buffered bytes exceed `buffer_capacity` while a
 // flush is in flight, write durability is pushed to the flush commit —
 // the classic ingest collapse when compaction can't keep up. Stall time
@@ -26,6 +34,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "storage/engine/engine.hpp"
@@ -59,15 +68,27 @@ class BetaTreeEngine final : public StorageEngine {
   /// On-device runs not yet merged away — the compaction backlog.
   std::uint64_t backlog_runs() const;
   std::size_t level_count() const { return levels_.size(); }
+  /// Memory the compaction outputs (levels 1 and up) hold: their logical
+  /// payload bytes, and the bytes of the extent buffers they keep alive,
+  /// each buffer counted once. The two are equal: an output holds a tight
+  /// copy of every extent that does not cover its whole buffer.
+  struct Retained {
+    std::uint64_t logical = 0;
+    std::uint64_t held = 0;
+  };
+  Retained retained_bytes() const;
 
  private:
   /// One extent of a run/memtable. A zero extent is a range-delete
   /// message: it reads as zeros and shadows older data, but costs only
   /// `tombstone_msg_bytes` of buffer/WAL/flush traffic.
   struct Extent {
-    Bytes data;  ///< empty when zero == true
+    std::shared_ptr<const Bytes> buf;  ///< null when zero == true
+    std::uint64_t off = 0;             ///< first byte of the extent in *buf
     std::uint64_t len = 0;
     bool zero = false;
+
+    const std::uint8_t* bytes() const { return buf->data() + off; }
   };
   /// Disjoint extents keyed by start address.
   using Run = std::map<std::uint64_t, Extent>;

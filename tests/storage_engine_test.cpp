@@ -5,7 +5,8 @@
 //    timing, per-node selection in a cluster).
 //  - BetaTree.*: the write-optimized engine's moving parts — memtable
 //    freeze/flush, fanout-triggered compaction, range-delete shadowing,
-//    buffer-full stalls — plus cluster-level digest determinism.
+//    buffer-full stalls, the memory compaction outputs retain — plus
+//    cluster-level digest determinism.
 //  - EngineEquivalence.*: the refactor-safety nets. The line-rate engine
 //    is compared op-for-op against an inline re-implementation of the
 //    pre-engine Target (same GapServer use, flat byte oracle), and the
@@ -263,6 +264,41 @@ TEST(BetaTree, ReadAmplificationChargedPerRunTouched) {
   EXPECT_EQ(eng.compact_read_bytes(), 0u);
 }
 
+TEST(BetaTree, CompactionOutputsRetainOnlyTheirLogicalBytes) {
+  // A partial-overwrite storm: 16 KiB writes, each later punched by small
+  // overwrites, so flushed runs hold slices that share a write's buffer
+  // with bytes a newer write shadows. Once merged, the compaction outputs
+  // must keep alive exactly their logical bytes, not the shadowed rest.
+  sim::Simulator sim;
+  TargetConfig tcfg;
+  tcfg.engine = betree_config();
+  tcfg.engine.memtable_bytes = 32 * KiB;
+  Target t(sim, tcfg);
+  auto& eng = dynamic_cast<BetaTreeEngine&>(t.engine());
+  constexpr std::size_t kSpan = 256 * KiB;
+  Bytes oracle(kSpan, 0);
+  Rng rng(env_seed() * 31 + 5);
+  for (int round = 0; round < 48; ++round) {
+    const std::uint64_t base = rng.next_below(kSpan / (16 * KiB)) * 16 * KiB;
+    const Bytes whole = random_bytes(16 * KiB, 900 + static_cast<std::uint64_t>(round));
+    t.write(base, whole, sim.now());
+    std::copy(whole.begin(), whole.end(), oracle.begin() + static_cast<std::ptrdiff_t>(base));
+    for (int punch = 0; punch < 3; ++punch) {
+      const std::uint64_t addr = rng.next_below(kSpan - KiB);
+      const std::size_t len = 1 + static_cast<std::size_t>(rng.next_below(KiB));
+      const Bytes small = random_bytes(len, rng.next());
+      t.write(addr, small, sim.now());
+      std::copy(small.begin(), small.end(), oracle.begin() + static_cast<std::ptrdiff_t>(addr));
+    }
+  }
+  sim.run();
+  ASSERT_GE(eng.level_count(), 2u);
+  const auto r = eng.retained_bytes();
+  EXPECT_GT(r.logical, 0u);
+  EXPECT_EQ(r.held, r.logical);
+  EXPECT_EQ(t.read(0, kSpan), oracle);
+}
+
 std::uint64_t betree_cluster_digest(std::uint64_t seed, bool parallel) {
   services::ClusterConfig cfg;
   cfg.storage_nodes = 4;
@@ -390,9 +426,12 @@ TEST(EngineEquivalence, LineRateMatchesLegacyTargetOpForOp) {
 }
 
 /// Differential oracle for the Bε-tree: a flat byte array that applies
-/// writes and trims instantly. The engine must agree functionally after
-/// any prefix of a randomized workload, while its timing stays a pure
-/// function of the op sequence (digest double-run below).
+/// writes and trims instantly. After every op the engine must agree with it
+/// over the whole span through `read` and over the op's range through
+/// `read_at` (the priced data-plane read), while flushes and compactions
+/// are in flight. Fanout 2 with a 4 KiB memtable builds several levels, and
+/// random 1 B..4 KiB writes split extents that earlier splits produced, so
+/// every compaction merges slices of slices.
 TEST(EngineEquivalence, BetaTreeMatchesFlatOracleRandomized) {
   const std::uint64_t seed = env_seed() * 2654435761 + 99;
   constexpr std::size_t kSpan = 128 * KiB;
@@ -400,7 +439,12 @@ TEST(EngineEquivalence, BetaTreeMatchesFlatOracleRandomized) {
   TargetConfig tcfg;
   tcfg.engine = betree_config();
   Target t(sim, tcfg);
+  auto& eng = dynamic_cast<BetaTreeEngine&>(t.engine());
   Bytes oracle(kSpan, 0);
+  const auto expect = [&oracle](std::uint64_t addr, std::size_t len) {
+    return Bytes(oracle.begin() + static_cast<std::ptrdiff_t>(addr),
+                 oracle.begin() + static_cast<std::ptrdiff_t>(addr + len));
+  };
 
   Rng rng(seed);
   for (int op = 0; op < 600; ++op) {
@@ -419,17 +463,13 @@ TEST(EngineEquivalence, BetaTreeMatchesFlatOracleRandomized) {
       std::copy(data.begin(), data.end(),
                 oracle.begin() + static_cast<std::ptrdiff_t>(addr));
     }
-    if (op % 97 == 0) {
-      ASSERT_EQ(t.read(addr, 4 * KiB < kSpan - addr ? 4 * KiB : kSpan - addr),
-                Bytes(oracle.begin() + static_cast<std::ptrdiff_t>(addr),
-                      oracle.begin() + static_cast<std::ptrdiff_t>(
-                                           addr + (4 * KiB < kSpan - addr ? 4 * KiB
-                                                                          : kSpan - addr))))
-          << "op " << op << ", seed " << seed;
-    }
+    ASSERT_EQ(t.read(0, kSpan), oracle) << "op " << op << ", seed " << seed;
+    ASSERT_EQ(t.read_at(addr, len, sim.now()).data, expect(addr, len))
+        << "op " << op << ", seed " << seed;
   }
   sim.run();
   ASSERT_EQ(t.read(0, kSpan), oracle) << "seed " << seed;
+  EXPECT_GE(eng.level_count(), 3u) << "seed " << seed;
 }
 
 /// Same randomized workload twice: identical durability times, identical
@@ -469,7 +509,16 @@ TEST(EngineEquivalence, BetaTreeRandomizedTimingDigestIsReproducible) {
     }
     return h;
   };
-  EXPECT_EQ(run_once(), run_once()) << "seed " << seed;
+  const std::uint64_t digest = run_once();
+  EXPECT_EQ(digest, run_once()) << "seed " << seed;
+  // Pinned for the two seeds scripts/check.sh runs: a change to the engine
+  // that moves any durability time, event count or byte read back fails
+  // here even when it is reproducible.
+  const std::map<std::uint64_t, std::uint64_t> pinned = {{1, 0x2bca73b4403ec8bcull},
+                                                          {7, 0xf0eaa64ef39dd998ull}};
+  if (const auto it = pinned.find(env_seed()); it != pinned.end()) {
+    EXPECT_EQ(digest, it->second) << "seed " << seed;
+  }
 }
 
 }  // namespace
