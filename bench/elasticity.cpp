@@ -19,11 +19,8 @@
 // the bench re-reads it with the strict obs JSON parser — a malformed
 // report fails the run, not the consumer.
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "bench/harness.hpp"
-#include "obs/json.hpp"
 #include "services/rebalancer.hpp"
 #include "workload/workload.hpp"
 
@@ -62,7 +59,7 @@ RejoinPoint run_rejoin(TimePs downtime) {
   plan.kill_node(victim, kill_at);
   plan.restart_at(victim, restart_time);
   cluster.network().install_faults(plan);
-  cluster.sim().schedule_fence_at(restart_time, [&cluster, victim] {
+  cluster.sim().schedule_at(restart_time, [&cluster, victim] {
     cluster.storage_by_node(victim).restart_dfs();
   });
 
@@ -196,7 +193,7 @@ RollingPoint run_rolling(bool smoke) {
   cluster.network().install_faults(plan);
   for (std::size_t i = 0; i < restarts_n; ++i) {
     const net::NodeId node = cluster.storage_node(i).id();
-    cluster.sim().schedule_fence_at(restart_times[i], [&cluster, node] {
+    cluster.sim().schedule_at(restart_times[i], [&cluster, node] {
       cluster.storage_by_node(node).restart_dfs();
     });
   }
@@ -258,44 +255,6 @@ RollingPoint run_rolling(bool smoke) {
     p.avg_rejoin = sum / rejoined.size();
   }
   return p;
-}
-
-// ----------------------------------------------------------- reporting
-
-bool validate_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string err;
-  const auto doc = obs::json_parse(ss.str(), &err);
-  if (!doc) {
-    std::fprintf(stderr, "FAIL: %s is not valid JSON: %s\n", path.c_str(), err.c_str());
-    return false;
-  }
-  const auto* rows = doc->find("rows");
-  if (!rows || rows->kind != obs::JsonValue::Kind::kArray || rows->arr.empty()) {
-    std::fprintf(stderr, "FAIL: %s has no rows\n", path.c_str());
-    return false;
-  }
-  std::size_t rejoin = 0, rebalance = 0, rolling = 0;
-  for (const auto& row : rows->arr) {
-    if (row.kind != obs::JsonValue::Kind::kString) continue;
-    if (row.str.rfind("elasticity_rejoin,", 0) == 0) ++rejoin;
-    if (row.str.rfind("elasticity_rebalance,", 0) == 0) ++rebalance;
-    if (row.str.rfind("elasticity_rolling,", 0) == 0) ++rolling;
-  }
-  if (rejoin == 0 || rebalance == 0 || rolling == 0) {
-    std::fprintf(stderr, "FAIL: %s missing row families (rejoin=%zu rebalance=%zu rolling=%zu)\n",
-                 path.c_str(), rejoin, rebalance, rolling);
-    return false;
-  }
-  std::printf("validated %s: %zu rows (%zu rejoin, %zu rebalance, %zu rolling)\n", path.c_str(),
-              rows->arr.size(), rejoin, rebalance, rolling);
-  return true;
 }
 
 }  // namespace
@@ -385,6 +344,8 @@ int main() {
   }
 
   report.finish(runner.threads(), total_points);
-  if (!validate_report("BENCH_elasticity.json")) return 1;
+  if (!validate_report("BENCH_elasticity.json", {{"elasticity_rejoin,", 1},
+                                                      {"elasticity_rebalance,", 1},
+                                                      {"elasticity_rolling,", 1}})) return 1;
   return 0;
 }

@@ -1,6 +1,7 @@
 // Sweep execution + reporting, shared by the fig*_ harness (bench/harness.hpp)
 // and the self-contained micro benches: a thread pool with ordered result
-// collection, and the BENCH_<name>.json machine-readable summary writer.
+// collection, the BENCH_<name>.json machine-readable summary writer, and
+// the strict read-back check benches run on their own report.
 #pragma once
 
 #include <algorithm>
@@ -10,13 +11,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace nadfs::bench {
 
@@ -65,15 +71,9 @@ class MetricsAccumulator {
 /// std::thread::hardware_concurrency(). NADFS_BENCH_THREADS=1 forces the
 /// serial path (useful for A/B-ing output equivalence).
 ///
-/// Interaction with domain-parallel simulation (DESIGN.md §3f): the two
-/// levels of parallelism multiply. Each sweep point's Cluster may itself
-/// spin up NADFS_SIM_THREADS workers when the partitioned core is enabled
-/// (NADFS_SIM_PARALLEL / SimParallelConfig), so a pool of P points each
-/// running W sim workers wants P*W <= hardware_concurrency. Benches that
-/// measure *intra-run* scaling (bench/parallel_sim.cpp) construct
-/// SweepRunner(1) so the per-run speedup is not confounded by point-level
-/// parallelism; throughput benches that sweep many independent points keep
-/// the default pool and leave the sim serial.
+/// This is the supported way to use several cores: one simulator per
+/// point, each single-threaded. A single run has no intra-run parallelism
+/// (DESIGN.md §3f explains why).
 class SweepRunner {
  public:
   explicit SweepRunner(unsigned threads = 0) {
@@ -158,13 +158,13 @@ class SweepReport {
     }
     std::fprintf(f, "%s],\n", csv_.empty() ? "" : "\n  ");
     // Summed cluster-metric snapshots across every measured point (empty
-    // object when the bench never harvested a cluster). Histogram families
-    // additionally get derived .p50_ns/.p99_ns percentile entries —
-    // summing log2 buckets across snapshots yields a valid merged
-    // histogram, so the percentiles cover every measured point.
+    // object when the bench never harvested a cluster). Quantile-sketch
+    // families additionally get derived .p50_ns/.p99_ns entries — summing
+    // sub-bucket counts across snapshots yields a valid merged sketch, so
+    // the percentiles cover every measured point.
     const auto& acc = MetricsAccumulator::instance();
     auto totals = acc.totals();
-    add_hist_percentiles(totals);
+    add_sketch_percentiles(totals);
     std::fprintf(f, "  \"metric_snapshots\": %zu,\n  \"metrics\": {", acc.snapshots());
     std::size_t i = 0;
     for (const auto& [metric, value] : totals) {
@@ -176,15 +176,12 @@ class SweepReport {
   }
 
  private:
-  /// Derive p50/p99 (in ns) for every histogram family in `totals` and
-  /// insert them as "<base>.p50_ns"/"<base>.p99_ns". A family is a
+  /// Derive p50/p99 (in ns) for every quantile-sketch family in `totals`
+  /// and insert them as "<base>.p50_ns"/"<base>.p99_ns". A family is a
   /// "<base>.count" entry with a "<base>.max_ps" sibling (only
-  /// MetricRegistry's histogram flattening emits that pair); its buckets
-  /// are the nonzero "<base>.b<k>" entries, where bucket k counts
-  /// durations with floor(log2(ns)) == k, i.e. the span [2^k, 2^{k+1}) ns
-  /// (bucket 0 spans [0, 2)). Linear interpolation within the bucket that
-  /// crosses the target rank.
-  static void add_hist_percentiles(std::map<std::string, long long>& totals) {
+  /// MetricRegistry's sketch flattening emits that pair); its buckets are
+  /// the nonzero "<base>.s<i>" entries.
+  static void add_sketch_percentiles(std::map<std::string, long long>& totals) {
     std::vector<std::pair<std::string, std::pair<long long, long long>>> derived;
     for (const auto& [name, count] : totals) {
       const std::string_view suffix = ".count";
@@ -194,11 +191,6 @@ class SweepReport {
       }
       const std::string base = name.substr(0, name.size() - suffix.size());
       if (count <= 0 || totals.find(base + ".max_ps") == totals.end()) continue;
-      // Quantile-sketch families (obs::QuantileSketch) flatten to ".s<i>"
-      // log-linear sub-buckets: 48 power-of-two majors x 32 linear slices.
-      // When present they beat the coarse ".b<k>" log2 buckets, turning
-      // the derived p50/p99 from bucket-boundary approximations into
-      // ~3%-accurate estimates.
       std::vector<std::pair<std::size_t, long long>> sub;
       for (const auto& [sname, svalue] : totals) {
         if (sname.size() <= base.size() + 2 || sname.compare(0, base.size(), base) != 0 ||
@@ -210,19 +202,9 @@ class SweepReport {
         sub.emplace_back(static_cast<std::size_t>(std::strtoull(idx.c_str(), nullptr, 10)),
                          svalue);
       }
-      if (!sub.empty()) {
-        std::sort(sub.begin(), sub.end());
-        derived.emplace_back(base, std::make_pair(sketch_percentile_ns(sub, count, 0.50),
-                                                  sketch_percentile_ns(sub, count, 0.99)));
-        continue;
-      }
-      std::vector<long long> buckets(48, 0);
-      for (std::size_t k = 0; k < buckets.size(); ++k) {
-        const auto it = totals.find(base + ".b" + std::to_string(k));
-        if (it != totals.end()) buckets[k] = it->second;
-      }
-      derived.emplace_back(base, std::make_pair(percentile_ns(buckets, count, 0.50),
-                                                percentile_ns(buckets, count, 0.99)));
+      std::sort(sub.begin(), sub.end());
+      derived.emplace_back(base, std::make_pair(sketch_percentile_ns(sub, count, 0.50),
+                                                sketch_percentile_ns(sub, count, 0.99)));
     }
     for (const auto& [base, p] : derived) {
       totals[base + ".p50_ns"] = p.first;
@@ -258,24 +240,6 @@ class SweepReport {
     return 0;
   }
 
-  static long long percentile_ns(const std::vector<long long>& buckets, long long count,
-                                 double q) {
-    const double target = q * static_cast<double>(count);
-    double cum = 0.0;
-    for (std::size_t k = 0; k < buckets.size(); ++k) {
-      if (buckets[k] <= 0) continue;
-      const double prev = cum;
-      cum += static_cast<double>(buckets[k]);
-      if (cum < target) continue;
-      const double lo = k == 0 ? 0.0 : static_cast<double>(std::uint64_t{1} << k);
-      const double hi = static_cast<double>(std::uint64_t{1} << (k + 1));
-      const double frac =
-          std::min(1.0, std::max(0.0, (target - prev) / static_cast<double>(buckets[k])));
-      return static_cast<long long>(lo + (hi - lo) * frac + 0.5);
-    }
-    return 0;
-  }
-
   static std::string json_escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());
@@ -290,5 +254,47 @@ class SweepReport {
   std::chrono::steady_clock::time_point start_;
   std::vector<std::string> csv_;
 };
+
+/// Reopen a BENCH_<name>.json this process just wrote and read it back the
+/// way a consumer would: strict obs::json_parse, a non-empty "rows" array,
+/// and at least `min_rows` rows starting with each given prefix (e.g.
+/// {"workloads_knee,", 2}). Prints the first failure to stderr and returns
+/// false, so a bench can exit non-zero on a malformed report.
+inline bool validate_report(const std::string& path,
+                            const std::vector<std::pair<std::string, std::size_t>>& min_rows) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
+    return false;
+  }
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::string err;
+  const auto doc = obs::json_parse(ss.str(), &err);
+  if (!doc) {
+    std::fprintf(stderr, "FAIL: %s is not valid JSON: %s\n", path.c_str(), err.c_str());
+    return false;
+  }
+  const auto* rows = doc->find("rows");
+  if (!rows || rows->kind != obs::JsonValue::Kind::kArray || rows->arr.empty()) {
+    std::fprintf(stderr, "FAIL: %s has no rows\n", path.c_str());
+    return false;
+  }
+  std::string counts;
+  for (const auto& [prefix, min] : min_rows) {
+    std::size_t n = 0;
+    for (const auto& row : rows->arr) {
+      if (row.kind == obs::JsonValue::Kind::kString && row.str.rfind(prefix, 0) == 0) ++n;
+    }
+    if (n < min) {
+      std::fprintf(stderr, "FAIL: %s has %zu '%s' rows, expected >= %zu\n", path.c_str(), n,
+                   prefix.c_str(), min);
+      return false;
+    }
+    counts += (counts.empty() ? "" : ", ") + std::to_string(n) + " '" + prefix + "'";
+  }
+  std::printf("validated %s: %zu rows (%s)\n", path.c_str(), rows->arr.size(), counts.c_str());
+  return true;
+}
 
 }  // namespace nadfs::bench

@@ -98,47 +98,25 @@ for seed in 1 7; do
     -R 'DfsOps|DfsModel|WorkloadEngine|Zipf'
 done
 
-# Domain-parallel core gates (DESIGN.md §3f): the determinism pins, the
-# partition/chaos scenarios, and the parallel==serial differential suite
-# must hold with the partitioned scheduler forced OFF and forced ON (the
-# env knob flips every kAuto-mode cluster, i.e. all suites that don't pin
-# a mode themselves), under two chaos seeds. A digest mismatch here means
-# the parallel merge rule diverged from serial (when, seq) order.
-for par in 0 1; do
-  for seed in 1 7; do
-    echo "== parallel-sim gates under NADFS_SIM_PARALLEL=$par NADFS_CHAOS_SEED=$seed"
-    NADFS_SIM_PARALLEL=$par NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" \
-      --output-on-failure -R 'Determinism|Partition|Chaos|ParallelSim'
-  done
-done
-
 # Elasticity gates (DESIGN.md §3g): restart/rejoin, planned drain, and the
-# background rebalancer run under both chaos seeds AND with the partitioned
-# scheduler forced OFF and ON — every seeded scenario double-runs internally
-# and must self-digest identically in all four combinations. This is the
+# background rebalancer run under both chaos seeds — every seeded scenario
+# double-runs internally and must self-digest identically. This is the
 # gate for the node lifecycle loop (alive -> failed -> restart -> alive).
-for par in 0 1; do
-  for seed in 1 7; do
-    echo "== elasticity suites under NADFS_SIM_PARALLEL=$par NADFS_CHAOS_SEED=$seed"
-    NADFS_SIM_PARALLEL=$par NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" \
-      --output-on-failure -R 'Elasticity|Rejoin|Drain'
-  done
+for seed in 1 7; do
+  echo "== elasticity suites under NADFS_CHAOS_SEED=$seed"
+  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
+    -R 'Elasticity|Rejoin|Drain'
 done
 
 # Storage-engine gates (DESIGN.md §3h): the backend factory + per-node
 # selection, the Bε-tree flush/compaction/stall behaviour and compaction
-# output retention, and the equivalence suites (LineRate op-for-op vs the
-# pre-engine model, Bε-tree vs flat oracle after every op, timing digests
-# pinned for both seeds) under both chaos seeds AND
-# with the partitioned scheduler forced OFF and ON — background
-# flush/compaction commits are sim events in the owning node's lane, so
-# serial == parallel must hold for every engine.
-for par in 0 1; do
-  for seed in 1 7; do
-    echo "== storage-engine suites under NADFS_SIM_PARALLEL=$par NADFS_CHAOS_SEED=$seed"
-    NADFS_SIM_PARALLEL=$par NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" \
-      --output-on-failure -R 'StorageEngine|BetaTree|EngineEquivalence|Target'
-  done
+# output retention, the cluster digest and the equivalence suites
+# (LineRate op-for-op vs the pre-engine model, Bε-tree vs flat oracle after
+# every op, timing digests) — the digests pinned for both chaos seeds.
+for seed in 1 7; do
+  echo "== storage-engine suites under NADFS_CHAOS_SEED=$seed"
+  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
+    -R 'StorageEngine|BetaTree|EngineEquivalence|Target'
 done
 
 # Storage-engine bench smoke: line-rate vs NVMM vs Bε-tree goodput sweep;
@@ -154,14 +132,6 @@ echo "== storage-engine bench smoke (BENCH_storage_engine.json validation)"
 # through the strict obs JSON parser and fails on missing row families.
 echo "== elasticity bench smoke (BENCH_elasticity.json validation)"
 (cd "$BUILD_DIR" && NADFS_BENCH_SMOKE=1 "./bench/elasticity" > /dev/null)
-
-# Domain-parallel scaling bench smoke: sweeps 1/2/4/8 storage domains over
-# the same seeded workload, asserts the workload digest and event count are
-# bit-identical at every point, and re-reads BENCH_parallel_sim.json
-# through the strict obs JSON parser. (The >= 2x wall-clock assertion only
-# arms on hosts with >= 4 hardware threads, and never in smoke mode.)
-echo "== parallel-sim bench smoke (BENCH_parallel_sim.json validation)"
-(cd "$BUILD_DIR" && NADFS_BENCH_SMOKE=1 "./bench/parallel_sim" > /dev/null)
 
 # Workload-engine smoke: the goodput-vs-offered-load bench in smoke mode
 # (2 variants, 3 sweep points). The bench re-reads BENCH_workloads.json

@@ -112,11 +112,11 @@ sim::Window Network::inject(Packet pkt, TimePs earliest) {
   if (topo.single_switch() || topo.leaf_of(pkt.src) == topo.leaf_of(pkt.dst)) {
     // Star, or both endpoints on one leaf: the first switch is also the
     // last — egress directly (the exact pre-fabric event sequence).
-    schedule_hop(fabric_domain_, at_switch, [this, dstp, wire, p = std::move(pkt)]() mutable {
+    schedule_hop(at_switch, [this, dstp, wire, p = std::move(pkt)]() mutable {
       egress_to_node(dstp, wire, std::move(p));
     });
   } else {
-    schedule_hop(fabric_domain_, at_switch, [this, dstp, wire, p = std::move(pkt)]() mutable {
+    schedule_hop(at_switch, [this, dstp, wire, p = std::move(pkt)]() mutable {
       forward_at_leaf(dstp, wire, std::move(p));
     });
   }
@@ -167,8 +167,7 @@ void Network::forward_at_leaf(NodePort* dstp, std::size_t wire, Packet&& pkt) {
     return;
   }
   const TimePs at_spine = w.end + config_.link_latency + config_.switch_latency;
-  // Fabric-internal hop: stays on the fabric lane (intra-domain).
-  schedule_hop(fabric_domain_, at_spine, [this, spine, dstp, wire, p = std::move(pkt)]() mutable {
+  schedule_hop(at_spine, [this, spine, dstp, wire, p = std::move(pkt)]() mutable {
     forward_at_spine(spine, dstp, wire, std::move(p));
   });
 }
@@ -182,7 +181,7 @@ void Network::forward_at_spine(SwitchId spine, NodePort* dstp, std::size_t wire,
     return;
   }
   const TimePs at_leaf = w.end + config_.link_latency + config_.switch_latency;
-  schedule_hop(fabric_domain_, at_leaf, [this, dstp, wire, p = std::move(pkt)]() mutable {
+  schedule_hop(at_leaf, [this, dstp, wire, p = std::move(pkt)]() mutable {
     egress_to_node(dstp, wire, std::move(p));
   });
 }
@@ -254,13 +253,10 @@ void Network::deliver(NodePort* dstp, std::size_t wire, Packet&& pkt) {
   auto* sink = dstp->sink;
   auto* delivered = &dstp->delivered_payload;
   const std::size_t payload = pkt.data.size();
-  // The arrival crosses back into the destination node's domain; the
-  // delivered-bytes cell is only ever touched from that lane.
-  schedule_hop(domain_of_node(pkt.dst), arrival,
-               [sink, delivered, payload, p2 = std::move(pkt)]() mutable {
-                 *delivered += payload;
-                 sink->on_packet(std::move(p2));
-               });
+  schedule_hop(arrival, [sink, delivered, payload, p2 = std::move(pkt)]() mutable {
+    *delivered += payload;
+    sink->on_packet(std::move(p2));
+  });
 }
 
 void Network::install_faults(FaultPlan plan) {
@@ -276,21 +272,11 @@ FaultPlan& Network::faults() {
 }
 
 void Network::mutate_faults(std::function<void(FaultPlan&)> fn) {
-  // One link latency of delay in BOTH modes: under parallelism a fence
-  // scheduled from event context must sit at least the lookahead out, and
-  // serial mode must put the mutation at the same (when, seq) to stay
-  // digest-identical. Callers add future-dated fault windows (the plan is
+  // The edit lands one link latency from now: recorded schedules (the
+  // chaos and elasticity digests) place it at that (when, seq), so the
+  // delay stays. Callers add future-dated fault windows (the plan is
   // queried by time), so the extra 20 ns is semantically invisible.
-  sim_.schedule_fence(config_.link_latency, [this, fn = std::move(fn)]() mutable { fn(faults()); });
-}
-
-void Network::set_domain_map(std::vector<sim::DomainId> node_domains, sim::DomainId fabric_domain) {
-  if (node_domains.size() < nodes_.size()) {
-    throw std::logic_error("Network::set_domain_map: map does not cover every attached node");
-  }
-  node_domains_ = std::move(node_domains);
-  fabric_domain_ = fabric_domain;
-  domains_mapped_ = true;
+  sim_.schedule(config_.link_latency, [this, fn = std::move(fn)]() mutable { fn(faults()); });
 }
 
 TimePs Network::uplink_free_at(NodeId node) const {

@@ -107,14 +107,10 @@ class Network {
   /// by time, so future-dated additions are safe).
   FaultPlan& faults();
 
-  /// Mutate the armed plan from *event context* in a way that is safe (and
-  /// bit-identical) under domain-parallel execution: the mutation runs as
-  /// a fence one link latency from now, with every lane parked. Chaos
-  /// hooks that add future-dated kills from packet-delivery callbacks must
-  /// use this instead of touching faults() directly — under parallelism a
-  /// direct mutation races with other lanes' reachability queries. The
-  /// delay is the same in serial mode, so both modes see the mutation at
-  /// the same (when, seq).
+  /// Mutate the armed plan as its own event, one link latency from now.
+  /// Chaos hooks that add future-dated kills from event context (packet
+  /// deliveries, detector callbacks) use this. The delay stays because
+  /// recorded chaos schedules (Chaos.*IsPinned) place the edit there.
   void mutate_faults(std::function<void(FaultPlan&)> fn);
 
   bool faults_armed() const { return faults_armed_; }
@@ -127,23 +123,6 @@ class Network {
   /// attaching never changes event order or digests.
   void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
   obs::SpanTracer* tracer() const { return tracer_; }
-
-  // ---------------------------------------------- domain partitioning
-  /// Pin each node's delivery events to a simulation domain and the whole
-  /// switch fabric (uplink arrival through final egress) to
-  /// `fabric_domain`. Every cross-domain handoff then carries at least one
-  /// link traversal of delay — node→switch arrivals add
-  /// link_latency + switch_latency past the uplink end, and switch→node
-  /// arrivals add link_latency past the downlink end — which is exactly
-  /// the conservative lookahead the partitioned simulator core needs (see
-  /// lookahead()). `node_domains` must cover every attached node. Without
-  /// a map, hops schedule into the caller's current domain (serial
-  /// behaviour).
-  void set_domain_map(std::vector<sim::DomainId> node_domains, sim::DomainId fabric_domain);
-
-  /// Conservative lookahead this network's domain map supports: the link
-  /// latency, the minimum delay any cross-domain handoff carries.
-  TimePs lookahead() const { return config_.link_latency; }
 
   /// Register the fault counters, per-node delivered-bytes cells and (on a
   /// fabric) per-switch hop counters under `prefix` ("net" ->
@@ -176,23 +155,15 @@ class Network {
 
   sim::GapServer& trunk(SwitchId leaf, SwitchId spine, bool up);
 
-  /// Route a hop event into `domain` when a map is set, else a plain
-  /// schedule (current/external domain — serial behaviour, bit-identical).
-  /// Every hop carries a Packet, and the static_assert keeps it inline in
-  /// EventFn: a field added to Packet fails the build here instead of
-  /// costing two heap allocations per packet hop.
+  /// Schedule a packet hop. Every hop carries a Packet, and the
+  /// static_assert keeps it inline in EventFn: a field added to Packet
+  /// fails the build here instead of costing two heap allocations per
+  /// packet hop.
   template <typename Hop>
-  void schedule_hop(sim::DomainId domain, TimePs when, Hop&& hop) {
+  void schedule_hop(TimePs when, Hop&& hop) {
     static_assert(sim::EventFn::fits_inline<std::decay_t<Hop>>,
                   "packet hop must fit EventFn inline");
-    if (domains_mapped_) {
-      sim_.schedule_at_domain(domain, when, std::forward<Hop>(hop));
-    } else {
-      sim_.schedule_at(when, std::forward<Hop>(hop));
-    }
-  }
-  sim::DomainId domain_of_node(NodeId n) const {
-    return domains_mapped_ ? node_domains_[n] : 0;
+    sim_.schedule_at(when, std::forward<Hop>(hop));
   }
 
   sim::Simulator& sim_;
@@ -206,10 +177,6 @@ class Network {
   std::vector<std::unique_ptr<sim::GapServer>> trunk_down_;
   std::vector<HopCounters> hops_;   // one per switch
   TimePs max_port_queue_ = 0;       // transfer_time(port_buffer_bytes); 0 = unbounded
-
-  std::vector<sim::DomainId> node_domains_;
-  sim::DomainId fabric_domain_ = 0;
-  bool domains_mapped_ = false;
 
   bool faults_armed_ = false;
   FaultPlan plan_;

@@ -19,13 +19,6 @@ void MetricRegistry::gauge(std::string name, std::function<long long()> fn) {
   entries_[std::move(name)] = std::move(e);
 }
 
-void MetricRegistry::histogram(std::string name, const SimTimeHist& h) {
-  Entry e;
-  e.kind = Entry::Kind::kHist;
-  e.hist = &h;
-  entries_[std::move(name)] = std::move(e);
-}
-
 void MetricRegistry::sketch(std::string name, const QuantileSketch& s) {
   Entry e;
   e.kind = Entry::Kind::kSketch;
@@ -50,18 +43,6 @@ std::map<std::string, long long> MetricRegistry::snapshot() const {
       case Entry::Kind::kGauge:
         out[name] = e.fn();
         break;
-      case Entry::Kind::kHist: {
-        const SimTimeHist& h = *e.hist;
-        out[name + ".count"] = static_cast<long long>(h.count());
-        out[name + ".sum_ps"] = static_cast<long long>(h.sum_ps());
-        out[name + ".min_ps"] = static_cast<long long>(h.min_ps());
-        out[name + ".max_ps"] = static_cast<long long>(h.max_ps());
-        for (std::size_t k = 0; k < SimTimeHist::kBuckets; ++k) {
-          if (h.bucket(k) != 0)
-            out[name + ".b" + std::to_string(k)] = static_cast<long long>(h.bucket(k));
-        }
-        break;
-      }
       case Entry::Kind::kSketch: {
         const QuantileSketch& s = *e.sketch;
         out[name + ".count"] = static_cast<long long>(s.count());

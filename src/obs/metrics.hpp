@@ -10,11 +10,10 @@
 //    touches the registry, so attaching it cannot perturb event order,
 //    RNG draws, or digests (digest-neutrality).
 //  - With NADFS_OBS_DISABLED defined (cmake -DNADFS_OBS=OFF) the optional
-//    instruments (histograms, span/sampler hooks) compile to nothing;
+//    instruments (latency sketches, span/sampler hooks) compile to nothing;
 //    plain counters are the pre-existing domain counters and stay.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -34,102 +33,35 @@ inline constexpr bool kObsEnabled = true;
 /// Monotonic counter. Drop-in replacement for a `std::uint64_t` struct
 /// member: increments, compound adds, and implicit reads all behave like
 /// the raw integer did.
-///
-/// Increments are relaxed atomics: under the domain-parallel simulator
-/// core several lanes may bump a shared counter (e.g. net tx_drops from
-/// many source nodes) within one window. Addition is commutative, so the
-/// value after a window barrier — and every registry snapshot, which runs
-/// with lanes parked — is identical to the serial schedule's. Relaxed RMW
-/// on x86 is a lock-prefixed add: a couple of ns on an uncontended line,
-/// invisible against the cost of an event.
 class Counter {
  public:
   constexpr Counter() = default;
   constexpr Counter(std::uint64_t v) : v_(v) {}  // NOLINT(google-explicit-constructor)
 
-  // Copyable like the plain integer it replaces (counter structs are
-  // value-reset with `{}`, hop-counter vectors get resized): a copy is a
-  // relaxed load into a fresh cell.
-  Counter(const Counter& other) : v_(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    v_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
   Counter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
+    ++v_;
     return *this;
   }
   Counter& operator+=(std::uint64_t n) {
-    v_.fetch_add(n, std::memory_order_relaxed);
+    v_ += n;
     return *this;
   }
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  operator std::uint64_t() const { return value(); }  // NOLINT
+  void inc(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
+  operator std::uint64_t() const { return v_; }  // NOLINT
 
-  /// Registry view of the raw cell. std::atomic<uint64_t> is
-  /// layout-compatible with its value type (asserted below); snapshots
-  /// read it with lanes parked, so a plain load is exact.
-  const std::uint64_t* cell() const { return reinterpret_cast<const std::uint64_t*>(&v_); }
+  /// Registry view of the raw cell.
+  const std::uint64_t* cell() const { return &v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
-  static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t));
-  static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-};
-
-/// Histogram over simulated durations (picoseconds). Buckets are
-/// power-of-two nanoseconds: bucket k counts durations with
-/// floor(log2(max(ns,1))) == k. Recording is a handful of integer ops and
-/// allocates nothing, so it is safe on completion paths; under
-/// NADFS_OBS_DISABLED it compiles to a no-op.
-class SimTimeHist {
- public:
-  static constexpr std::size_t kBuckets = 48;
-
-  void record(std::uint64_t dur_ps) {
-    if constexpr (!kObsEnabled) {
-      (void)dur_ps;
-      return;
-    }
-    ++count_;
-    sum_ps_ += dur_ps;
-    if (count_ == 1 || dur_ps < min_ps_) min_ps_ = dur_ps;
-    if (dur_ps > max_ps_) max_ps_ = dur_ps;
-    ++buckets_[bucket_of(dur_ps)];
-  }
-
-  std::uint64_t count() const { return count_; }
-  std::uint64_t sum_ps() const { return sum_ps_; }
-  std::uint64_t min_ps() const { return count_ ? min_ps_ : 0; }
-  std::uint64_t max_ps() const { return max_ps_; }
-  std::uint64_t bucket(std::size_t k) const { return k < kBuckets ? buckets_[k] : 0; }
-
-  /// Bucket index for a duration: floor(log2(max(ns,1))), clamped.
-  static std::size_t bucket_of(std::uint64_t dur_ps) {
-    std::uint64_t ns = dur_ps / 1000;
-    if (ns == 0) return 0;
-    std::size_t k = 0;
-    while (ns >>= 1) ++k;
-    return k < kBuckets ? k : kBuckets - 1;
-  }
-
- private:
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ps_ = 0;
-  std::uint64_t min_ps_ = 0;
-  std::uint64_t max_ps_ = 0;
-  std::uint64_t buckets_[kBuckets] = {};
+  std::uint64_t v_ = 0;
 };
 
 /// Counting-quantile sketch over simulated durations (picoseconds).
 ///
 /// Log-linear (HDR-style) buckets: 48 power-of-two major buckets in
-/// nanoseconds — the same dynamic range as SimTimeHist — each subdivided
-/// into 32 linear sub-buckets, so any quantile is recovered with a
-/// bounded ~3% relative error instead of the up-to-2x bucket-boundary
-/// error of the log2 histogram. Recording is a few integer ops and
+/// nanoseconds, each subdivided into 32 linear sub-buckets, so any
+/// quantile is recovered with a bounded ~3% relative error. Recording is a few integer ops and
 /// allocates nothing; buckets are plain counts, so sketches merge (and
 /// MetricsAccumulator sums across sweep points) commutatively. Under
 /// NADFS_OBS_DISABLED record() compiles to a no-op.
@@ -239,12 +171,9 @@ class MetricRegistry {
   void counter_cell(std::string name, const std::uint64_t* cell);
   /// Register a polled gauge (queue depth, pool occupancy, ...).
   void gauge(std::string name, std::function<long long()> fn);
-  /// Register a sim-time histogram; flattened into `.count`, `.sum_ps`,
-  /// `.min_ps`, `.max_ps` and nonzero `.b<k>` entries in snapshots.
-  void histogram(std::string name, const SimTimeHist& h);
-  /// Register a quantile sketch; flattened like a histogram but with
-  /// fine-grained nonzero `.s<i>` sub-buckets (bench/report.hpp prefers
-  /// these over `.b<k>` when deriving p50/p99).
+  /// Register a quantile sketch; flattened into `.count`, `.sum_ps`,
+  /// `.min_ps`, `.max_ps` and nonzero `.s<i>` sub-bucket entries in
+  /// snapshots (bench/report.hpp derives p50/p99 from them).
   void sketch(std::string name, const QuantileSketch& s);
 
   /// Drop every instrument whose name starts with `prefix` — used when a
@@ -264,10 +193,9 @@ class MetricRegistry {
 
  private:
   struct Entry {
-    enum class Kind { kCounter, kGauge, kHist, kSketch } kind;
+    enum class Kind { kCounter, kGauge, kSketch } kind;
     const std::uint64_t* cell = nullptr;
     std::function<long long()> fn;
-    const SimTimeHist* hist = nullptr;
     const QuantileSketch* sketch = nullptr;
   };
   std::map<std::string, Entry> entries_;

@@ -34,12 +34,9 @@ class Sampler {
 
   /// Sample every `interval` of simulated time, first row one interval
   /// from now. Stop (or destroy) before expecting the event queue to
-  /// drain — see sim::Periodic. On a partitioned simulator the tick runs
-  /// as a fence (probes read gauges across every domain; the lanes must
-  /// be parked) — on a serial one that is a plain event, so ordering is
-  /// identical in both modes.
+  /// drain — see sim::Periodic.
   void start(TimePs interval) {
-    ticker_.start(interval, [this] { sample_now(); }, sim_.partitioned());
+    ticker_.start(interval, [this] { sample_now(); });
   }
 
   void stop() { ticker_.stop(); }

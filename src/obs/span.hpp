@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -57,18 +56,16 @@ class SpanTracer {
       // Sample by *operation*, not by span: keep every span of every Nth
       // correlation id (so a kept op's trace stays complete end-to-end),
       // and always keep uncorrelated spans. Pure function of span content
-      // — sampling never changes event order or digests, and picks the
-      // same ops in serial and parallel runs.
+      // — sampling never changes event order or digests.
       const std::uint64_t key = s.corr != 0 ? s.corr : s.msg;
       if (key != 0 && key % sample_every_ != 0) return;
     }
-    std::lock_guard<std::mutex> lk(mu_);
     spans_.push_back(s);
   }
 
   /// Keep only every Nth operation's spans (1 = keep everything, the
-  /// default). Long parallel runs pay ~8% for always-on full tracing;
-  /// sampling keeps the instrument usable at scale.
+  /// default). Long runs pay ~8% for always-on full tracing; sampling
+  /// keeps the instrument usable at scale.
   void set_sample_every(std::uint64_t n) { sample_every_ = n == 0 ? 1 : n; }
   std::uint64_t sample_every() const { return sample_every_; }
 
@@ -92,11 +89,6 @@ class SpanTracer {
   static std::string lane_name(std::uint32_t lane);
 
  private:
-  // Lanes of a domain-parallel run record concurrently; the mutex makes
-  // the append safe. Cross-lane recording *order* is wall-clock order, not
-  // sim order — readers needing determinism should sort by (start_ps,
-  // corr) or run serially. (Span content itself is identical either way.)
-  std::mutex mu_;
   std::uint64_t sample_every_ = 1;
   std::vector<Span> spans_;
   std::unordered_map<std::uint32_t, std::string> labels_;

@@ -106,8 +106,6 @@ Client::Client(Cluster& cluster, std::size_t client_idx)
   reg.counter_cell(metrics_prefix_ + ".replaced_ops", &tracker_.replaced_ops_);
   reg.gauge(metrics_prefix_ + ".pending_ops",
             [this] { return static_cast<long long>(tracker_.pending_count()); });
-  reg.histogram(metrics_prefix_ + ".write_latency", write_latency_);
-  reg.histogram(metrics_prefix_ + ".read_latency", read_latency_);
   reg.sketch(metrics_prefix_ + ".write_latency_q", write_latency_q_);
   reg.sketch(metrics_prefix_ + ".read_latency_q", read_latency_q_);
 }
@@ -115,21 +113,16 @@ Client::Client(Cluster& cluster, std::size_t client_idx)
 Client::~Client() { cluster_.metrics().remove_prefix(metrics_prefix_); }
 
 void Client::note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
-                     TimePs issued, TimePs at, obs::SimTimeHist& hist,
-                     obs::QuantileSketch& sketch) {
+                     TimePs issued, TimePs at, obs::QuantileSketch& sketch) {
   if constexpr (!obs::kObsEnabled) {
-    (void)name, (void)failed_name, (void)ok, (void)greq, (void)issued, (void)at, (void)hist;
-    (void)sketch;
+    (void)name, (void)failed_name, (void)ok, (void)greq, (void)issued, (void)at, (void)sketch;
     return;
   }
   if (auto* tracer = cluster_.tracer()) {
     tracer->record({node_.id(), obs::kLaneClientOp, "op", ok ? name : failed_name, greq, greq, 0,
                     0, issued, at});
   }
-  if (ok) {
-    hist.record(at - issued);
-    sketch.record(at - issued);
-  }
+  if (ok) sketch.record(at - issued);
 }
 
 unsigned Client::acks_for(const FileLayout& layout) {
@@ -276,7 +269,7 @@ OpCb Client::make_write_completion(std::uint64_t greq, OpCb cb, unsigned attempt
   return [this, greq, issued, cb = std::move(cb), attempts_left,
           reissue = std::move(reissue)](dfs::DfsError err, TimePs at) mutable {
     const bool ok = err == dfs::DfsError::kOk;
-    note_op("write", "write_failed", ok, greq, issued, at, write_latency_, write_latency_q_);
+    note_op("write", "write_failed", ok, greq, issued, at, write_latency_q_);
     if (ok || attempts_left == 0 || !transient_error(err)) {
       cb(err, at);
       return;
@@ -491,7 +484,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
                                        greq, issued]() mutable {
       if (!node_.nic().cancel_read(greq)) return;  // answered or NACKed in time
       tracker_.cancel(greq);
-      note_op("read", "read_failed", false, greq, issued, cluster_.sim().now(), read_latency_, read_latency_q_);
+      note_op("read", "read_failed", false, greq, issued, cluster_.sim().now(), read_latency_q_);
       ++op_timeouts_;
       if (attempts_left == 0) {
         (*shared_cb)(dfs::DfsError::kTimeout, Bytes{}, cluster_.sim().now());
@@ -513,7 +506,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
       OpCb([this, coord, cap, len, shared_cb, attempts_left, greq,
             issued](dfs::DfsError err, TimePs at) mutable {
         node_.nic().cancel_read(greq);
-        note_op("read", "read_failed", false, greq, issued, at, read_latency_, read_latency_q_);
+        note_op("read", "read_failed", false, greq, issued, at, read_latency_q_);
         if (attempts_left == 0 || !transient_error(err)) {
           (*shared_cb)(err, Bytes{}, at);
           return;
@@ -528,7 +521,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
   node_.nic().expect_read_response(
       greq, len, [this, greq, issued, shared_cb](Bytes data, TimePs at) {
         tracker_.cancel(greq);
-        note_op("read", "read_failed", true, greq, issued, at, read_latency_, read_latency_q_);
+        note_op("read", "read_failed", true, greq, issued, at, read_latency_q_);
         (*shared_cb)(dfs::DfsError::kOk, std::move(data), at);
       });
   dfs::DfsHeader hdr;

@@ -219,12 +219,9 @@ class Client {
   /// aggregation-sequence lifetimes.
   void set_ec_interleaving(bool on) { ec_interleave_ = on; }
 
-  /// Per-attempt op latency (issue -> completion, successes only).
-  const obs::SimTimeHist& write_latency() const { return write_latency_; }
-  const obs::SimTimeHist& read_latency() const { return read_latency_; }
-  /// Same samples through the fine-grained quantile sketch (registered as
-  /// ".write_latency_q"/".read_latency_q"): BENCH p50/p99 derive from
-  /// these instead of log2 bucket boundaries.
+  /// Per-attempt op latency (issue -> completion, successes only),
+  /// registered as ".write_latency_q"/".read_latency_q": BENCH p50/p99
+  /// derive from these.
   const obs::QuantileSketch& write_latency_sketch() const { return write_latency_q_; }
   const obs::QuantileSketch& read_latency_sketch() const { return read_latency_q_; }
 
@@ -257,7 +254,7 @@ class Client {
 
   /// Op-attempt span + latency sample; `name`/`failed_name` are static.
   void note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
-               TimePs issued, TimePs at, obs::SimTimeHist& hist, obs::QuantileSketch& sketch);
+               TimePs issued, TimePs at, obs::QuantileSketch& sketch);
 
   Cluster& cluster_;
   ClientNode& node_;
@@ -273,8 +270,6 @@ class Client {
   std::uint64_t deny_retries_ = 0;
   std::uint64_t timeout_retries_ = 0;
   std::uint64_t op_timeouts_ = 0;
-  obs::SimTimeHist write_latency_;
-  obs::SimTimeHist read_latency_;
   obs::QuantileSketch write_latency_q_;
   obs::QuantileSketch read_latency_q_;
   std::string metrics_prefix_;

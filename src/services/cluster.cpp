@@ -1,27 +1,9 @@
 #include "services/cluster.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 namespace nadfs::services {
-
-namespace {
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return !s.empty() && s != "0" && s != "off" && s != "OFF" && s != "false";
-}
-
-unsigned env_unsigned(const char* name, unsigned fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-}
-
-}  // namespace
 
 StorageNode::StorageNode(sim::Simulator& simulator, net::Network& network,
                          const storage::TargetConfig& tcfg, const rdma::NicConfig& ncfg,
@@ -79,10 +61,6 @@ void StorageNode::set_tracer(obs::SpanTracer* tracer) {
 }
 
 void StorageNode::start_state_gc(TimePs interval, TimePs ttl) {
-  // The GC tick reads/writes this node's DFS state, so the whole rearm
-  // chain must live on the node's own lane (ticks after the first inherit
-  // the lane of the tick that armed them; the scope pins the first one).
-  sim::DomainScope scope(sim_, sim_domain_);
   state_gc_.start(interval, [this, ttl] {
     if (dfs_state_) dfs_state_->gc(sim_.now(), ttl);
   });
@@ -97,30 +75,6 @@ ClientNode::ClientNode(sim::Simulator& simulator, net::Network& network,
       cpu_(std::make_unique<host::Cpu>(simulator, ccfg)) {}
 
 Cluster::Cluster(ClusterConfig config) : cfg_(config) {
-  // Domain partitioning is decided before anything can schedule an event
-  // (enable_partitions demands a fresh simulator). Conservative layout:
-  //   lane 0                    clients + metadata/management/control
-  //   lanes 1 .. S              storage nodes, node i -> 1 + (i % S)
-  //   lane 1 + S                the whole switch fabric
-  //   lanes 2+S .. 2+S+C-1      per-client lanes (aggressive mapping only)
-  // Lookahead is the network's minimum cross-domain hop delay (one link
-  // latency) — see net::Network::lookahead().
-  const SimParallelConfig& par = cfg_.parallel;
-  const bool want_parallel = par.mode == SimParallelConfig::Mode::kOn ||
-                             (par.mode == SimParallelConfig::Mode::kAuto &&
-                              env_truthy("NADFS_SIM_PARALLEL"));
-  if (want_parallel && cfg_.storage_nodes > 0) {
-    unsigned s = par.storage_domains != 0 ? par.storage_domains
-                                          : env_unsigned("NADFS_SIM_DOMAINS", 0);
-    if (s == 0 || s > cfg_.storage_nodes) s = cfg_.storage_nodes;
-    per_client_domains_ = par.per_client_domains;
-    const unsigned c = per_client_domains_ ? cfg_.clients : 0;
-    first_client_domain_ = 2 + s;
-    const unsigned threads =
-        par.threads != 0 ? par.threads : env_unsigned("NADFS_SIM_THREADS", 0);
-    sim_.enable_partitions(std::size_t{2} + s + c, cfg_.network.link_latency, threads);
-  }
-
   network_ = std::make_unique<net::Network>(sim_, cfg_.network);
   if (!cfg_.faults.empty()) network_->install_faults(cfg_.faults);
 
@@ -139,22 +93,6 @@ Cluster::Cluster(ClusterConfig config) : cfg_(config) {
 
   mgmt_ = std::make_unique<ManagementService>(cfg_.dfs.key);
   meta_ = std::make_unique<MetadataService>(*mgmt_, storage_ids);
-
-  if (sim_.partitioned()) {
-    const auto storage_lanes = static_cast<unsigned>(sim_.domain_count()) - 2 -
-                               (per_client_domains_ ? cfg_.clients : 0);
-    std::vector<sim::DomainId> node_domains(network_->node_count(), 0);
-    for (unsigned i = 0; i < storage_.size(); ++i) {
-      const sim::DomainId d = 1 + (i % storage_lanes);
-      node_domains[storage_[i]->id()] = d;
-      storage_[i]->set_sim_domain(d);
-    }
-    for (unsigned i = 0; i < clients_.size(); ++i) {
-      node_domains[clients_[i]->id()] = domain_of_client(i);
-    }
-    network_->set_domain_map(std::move(node_domains),
-                             /*fabric_domain=*/1 + storage_lanes);
-  }
 
   network_->bind_metrics(metrics_, "net");
   for (auto& node : storage_) node->bind_metrics(metrics_, "node" + std::to_string(node->id()));
@@ -184,11 +122,6 @@ void Cluster::start_state_gc(TimePs interval, TimePs ttl) {
 
 void Cluster::stop_state_gc() {
   for (auto& node : storage_) node->stop_state_gc();
-}
-
-sim::DomainId Cluster::domain_of_client(std::size_t i) const {
-  if (!per_client_domains_) return 0;
-  return first_client_domain_ + static_cast<sim::DomainId>(i);
 }
 
 StorageNode& Cluster::storage_by_node(net::NodeId id) {

@@ -77,18 +77,8 @@ class StorageNode {
   void start_state_gc(TimePs interval, TimePs ttl);
   void stop_state_gc();
 
-  /// Simulation domain this node's lane-local timers (state GC) and the
-  /// storage engine's background jobs (flush/compaction commits) arm into.
-  /// Set by the Cluster when domain partitioning is enabled; 0 otherwise.
-  void set_sim_domain(sim::DomainId d) {
-    sim_domain_ = d;
-    target_->set_sim_domain(d);
-  }
-  sim::DomainId sim_domain() const { return sim_domain_; }
-
  private:
   sim::Simulator& sim_;
-  sim::DomainId sim_domain_ = 0;
   std::unique_ptr<storage::Target> target_;
   std::unique_ptr<rdma::Nic> nic_;
   std::unique_ptr<host::Cpu> cpu_;
@@ -123,30 +113,12 @@ class ClientNode {
   std::unique_ptr<host::Cpu> cpu_;
 };
 
-/// Domain-parallel simulation knobs (DESIGN.md §3f). The default (kAuto)
-/// reads NADFS_SIM_PARALLEL from the environment, so every existing test
-/// and bench can be re-run under the partitioned core without a code
-/// change — the digest suites are gated both ways in scripts/check.sh.
+/// Inert: nothing reads these two members. They remain only so
+/// perfbench/perfbench.cpp, which assigns both, keeps compiling.
 struct SimParallelConfig {
-  enum class Mode {
-    kAuto,  ///< NADFS_SIM_PARALLEL=1/on enables; unset/0/off stays serial
-    kOff,   ///< force the serial core
-    kOn,    ///< force the partitioned core
-  };
-  Mode mode = Mode::kAuto;
-  /// Worker threads (0 = NADFS_SIM_THREADS, else hardware_concurrency;
-  /// clamped to the domain count). 1 runs the windowed algorithm
-  /// single-threaded — same schedule, no concurrency.
-  unsigned threads = 0;
-  /// Storage lanes: storage node i lands in lane 1 + (i % storage_domains).
-  /// 0 = NADFS_SIM_DOMAINS, else one lane per storage node.
-  unsigned storage_domains = 0;
-  /// Give every client node its own lane too (aggressive mapping). Only
-  /// sound for workloads whose client-side interactions are commutative —
-  /// the workload engine enforces its own preconditions (pre-created
-  /// objects, no append/stat/create, open loop). Benches only; the
-  /// conservative default keeps all clients and control services on lane 0.
-  bool per_client_domains = false;
+  enum class Mode { kOff };
+  Mode mode = Mode::kOff;
+  unsigned threads = 1;
 };
 
 struct ClusterConfig {
@@ -205,16 +177,6 @@ class Cluster {
   void start_state_gc(TimePs interval, TimePs ttl);
   void stop_state_gc();
 
-  // ---------------------------------------------- domain partitioning
-  /// True when this cluster's simulator runs the partitioned core.
-  bool parallel_enabled() const { return sim_.partitioned(); }
-  /// True when every client node has its own lane (aggressive mapping).
-  bool per_client_domains() const { return per_client_domains_; }
-  /// Lane of client node `i` (0 — the control lane — unless the
-  /// aggressive mapping is on). The workload engine pins each client
-  /// slot's op stream to this domain.
-  sim::DomainId domain_of_client(std::size_t i) const;
-
  private:
   ClusterConfig cfg_;
   // Declared before the nodes: bound instruments point into node-owned
@@ -227,8 +189,6 @@ class Cluster {
   std::unique_ptr<ManagementService> mgmt_;
   std::unique_ptr<MetadataService> meta_;
   obs::SpanTracer* tracer_ = nullptr;
-  bool per_client_domains_ = false;
-  sim::DomainId first_client_domain_ = 0;  ///< aggressive mapping only
 };
 
 }  // namespace nadfs::services

@@ -148,16 +148,12 @@ std::pair<dfs::DfsError, const FileLayout*> MetadataService::try_create(const st
     // tearing down the simulation.
     return {dfs::DfsError::kNoQuorum, nullptr};
   }
-  {
-    std::lock_guard<std::mutex> lk(lengths_mu_);
-    lengths_[name] = 0;
-  }
+  lengths_[name] = 0;
   return {dfs::DfsError::kOk, &files_.emplace(name, std::move(layout)).first->second};
 }
 
 dfs::DfsError MetadataService::remove(const std::string& name) {
   if (files_.erase(name) == 0) return dfs::DfsError::kNotFound;
-  std::lock_guard<std::mutex> lk(lengths_mu_);
   lengths_.erase(name);
   return dfs::DfsError::kOk;
 }
@@ -169,11 +165,8 @@ MetadataService::StatInfo MetadataService::stat(const std::string& name) const {
   info.exists = true;
   info.size = it->second.size;
   info.policy = it->second.policy;
-  {
-    std::lock_guard<std::mutex> lk(lengths_mu_);
-    auto lit = lengths_.find(name);
-    info.length = lit == lengths_.end() ? 0 : lit->second;
-  }
+  auto lit = lengths_.find(name);
+  info.length = lit == lengths_.end() ? 0 : lit->second;
   return info;
 }
 
@@ -191,7 +184,6 @@ std::pair<dfs::DfsError, std::uint64_t> MetadataService::append_reserve(const st
   auto it = files_.find(name);
   if (it == files_.end()) return {dfs::DfsError::kNotFound, 0};
   if (len == 0) return {dfs::DfsError::kBadArg, 0};
-  std::lock_guard<std::mutex> lk(lengths_mu_);
   std::uint64_t& length = lengths_[name];
   if (length + len > it->second.size) return {dfs::DfsError::kBadArg, 0};  // over capacity
   const std::uint64_t offset = length;
@@ -202,7 +194,6 @@ std::pair<dfs::DfsError, std::uint64_t> MetadataService::append_reserve(const st
 void MetadataService::note_written(const std::string& name, std::uint64_t offset,
                                    std::uint64_t len) {
   if (files_.count(name) == 0) return;
-  std::lock_guard<std::mutex> lk(lengths_mu_);
   std::uint64_t& length = lengths_[name];
   length = std::max(length, offset + len);
 }

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -227,15 +226,6 @@ class MetadataService {
   std::vector<net::NodeId> nodes_;
   std::vector<std::uint64_t> alloc_ptr_;  ///< bump allocator per node
   std::unordered_map<std::string, FileLayout> files_;
-  /// Logical length by name, guarded by lengths_mu_: under the
-  /// domain-parallel core's aggressive (per-client-lane) mapping,
-  /// note_written runs concurrently from many client lanes. The only
-  /// mutation those lanes perform is the max-merge in note_written —
-  /// commutative, so the post-window value is schedule-independent.
-  /// (Namespace mutations — create/remove/append_reserve — are not
-  /// commutative and stay confined to lane 0 / serialized phases; the
-  /// workload engine enforces this.)
-  mutable std::mutex lengths_mu_;
   std::unordered_map<std::string, std::uint64_t> lengths_;  ///< logical length by name
   std::set<net::NodeId> excluded_;  ///< failed nodes, out of placement
   std::map<net::NodeId, unsigned> held_;  ///< partition holds (refcounted)

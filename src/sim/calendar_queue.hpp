@@ -119,17 +119,6 @@ class CalendarQueue {
     return seq;
   }
 
-  /// Enqueue with a caller-supplied sequence number. The partitioned
-  /// scheduler owns one global seq counter across many per-lane queues, so
-  /// the tie-break rank is assigned centrally and pushed down here; the
-  /// ordering machinery is indifferent to where seqs come from as long as
-  /// (when, seq) pairs are unique. Keeps next_seq_ ahead so mixing with
-  /// plain push() cannot mint a duplicate rank.
-  void push_at_seq(TimePs when, std::uint64_t seq, Payload&& payload) {
-    stage(when, seq, std::move(payload));
-    if (seq >= next_seq_) next_seq_ = seq + 1;
-  }
-
   /// Key of the earliest entry by (when, seq), or nullptr if empty.
   /// Advances internal cursor/migration state (maintenance only — ordering
   /// is unaffected), so it is non-const; the pointer is valid until the

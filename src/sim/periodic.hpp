@@ -25,15 +25,10 @@ class Periodic {
 
   /// Run `tick` every `interval`, first firing one interval from now.
   /// Restarting an already-running Periodic cancels the old cadence.
-  /// `fenced` runs each tick as a simulator fence — every lane parked —
-  /// for ticks that read state across domains (registry sampling). On a
-  /// serial simulator a fence is a plain event, so the flag never changes
-  /// ordering between modes.
-  void start(TimePs interval, std::function<void()> tick, bool fenced = false) {
+  void start(TimePs interval, std::function<void()> tick) {
     stop();
     state_ = std::make_shared<State>();
     state_->interval = interval;
-    state_->fenced = fenced;
     state_->tick = std::move(tick);
     arm(sim_, state_);
   }
@@ -50,7 +45,6 @@ class Periodic {
  private:
   struct State {
     bool running = true;
-    bool fenced = false;
     TimePs interval = 0;
     std::function<void()> tick;
   };
@@ -63,14 +57,7 @@ class Periodic {
       state->tick();
       if (state->running) arm(sim, state);
     };
-    // Rearm context is fine either way: the first arm runs from setup and
-    // a fenced rearm runs inside the previous fence (all lanes parked), so
-    // neither hits the in-event fence lookahead constraint.
-    if (state->fenced) {
-      sim.schedule_fence(state->interval, std::move(body));
-    } else {
-      sim.schedule(state->interval, std::move(body));
-    }
+    sim.schedule(state->interval, std::move(body));
   }
 
   Simulator& sim_;

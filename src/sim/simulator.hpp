@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,32 +40,6 @@
 #include "sim/calendar_queue.hpp"
 
 namespace nadfs::sim {
-
-/// Partition (event-lane) index in domain-parallel mode. Domain 0 is the
-/// conventional control/default lane (everything scheduled from outside an
-/// event lands there unless a DomainScope says otherwise).
-using DomainId = std::uint32_t;
-
-namespace detail {
-
-class PartitionedEngine;
-struct Lane;
-
-/// Per-thread pointer to the lane currently executing an event, so
-/// Simulator::now()/schedule() inherit the lane's clock and domain without
-/// any lookup the serial core would have to pay for. `windowed` is true
-/// inside a parallel window (spawns are provisional and replay-committed);
-/// false during serialized stepping (fences, step()), where spawns commit
-/// immediately with real sequence numbers — exactly the serial semantics.
-struct LaneTls {
-  const void* sim = nullptr;
-  Lane* lane = nullptr;
-  TimePs now = 0;
-  bool windowed = false;
-};
-extern thread_local LaneTls g_lane_tls;
-
-}  // namespace detail
 
 /// Move-only type-erased `void()` callable with small-buffer optimization.
 /// Replaces std::function on the event hot path: scheduling an event whose
@@ -181,21 +154,13 @@ class EventFn {
 
 class Simulator {
  public:
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulated time. Inside an event this is the event's own
-  /// timestamp in both the serial and the partitioned core (a lane's clock
-  /// is exactly the timestamp of the event it is executing).
-  TimePs now() const {
-    if (part_) {
-      const auto& t = detail::g_lane_tls;
-      if (t.sim == this && t.windowed) return t.now;
-    }
-    return now_;
-  }
+  /// timestamp.
+  TimePs now() const { return now_; }
 
   /// Schedule `fn` to run `delay` after the current time.
   void schedule(TimePs delay, EventFn&& fn) { schedule_at(now() + delay, std::move(fn)); }
@@ -213,106 +178,19 @@ class Simulator {
   /// exactly `deadline` still execute). Returns the final time.
   TimePs run_until(TimePs deadline);
 
-  /// Execute a single event. Returns false if the queue was empty. In
-  /// partitioned mode this is serialized stepping: one global-minimum
-  /// (when, seq) event, identical to the serial core.
+  /// Execute a single event. Returns false if the queue was empty.
   bool step();
 
-  std::size_t pending_events() const;
+  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
-  /// The underlying calendar queue (read-only introspection for tests;
-  /// serial mode only — partitioned lanes are not exposed).
+  /// The underlying calendar queue (read-only introspection for tests).
   const CalendarQueue<EventFn>& queue() const { return queue_; }
 
-  // ------------------------------------------------ domain partitioning
-  // DESIGN.md §3f. Everything below is a no-op extension: a Simulator that
-  // never calls enable_partitions behaves exactly as before, instruction
-  // for instruction on the hot path bar one predictable branch.
-
-  /// Split the event core into `domains` calendar-queue lanes driven by a
-  /// conservative windowed scheduler. `lookahead` is the minimum
-  /// cross-domain scheduling delay (the null-message horizon — for the
-  /// network mapping, the minimum link latency). `threads` is the worker
-  /// pool size (0 = hardware_concurrency, clamped to the domain count;
-  /// 1 = run the windowed algorithm single-threaded, bit-identical).
-  /// Must be called before any event is scheduled; throws otherwise.
-  void enable_partitions(std::size_t domains, TimePs lookahead, unsigned threads = 0);
-
-  bool partitioned() const { return part_ != nullptr; }
-  std::size_t domain_count() const;
-  TimePs lookahead() const;
-  unsigned parallel_threads() const;
-
-  /// Domain of the currently executing event; external_domain() outside
-  /// events. Serial mode: always 0.
-  DomainId current_domain() const;
-
-  /// Schedule into a specific domain's lane. From inside an event of a
-  /// *different* domain, `when` must be at least lookahead() past the
-  /// executing event (conservative horizon) — violations throw
-  /// std::logic_error. From outside any event, or into the executing
-  /// event's own domain, any future time is legal. Serial mode: plain
-  /// schedule_at.
-  void schedule_at_domain(DomainId domain, TimePs when, EventFn&& fn);
-
-  /// Schedule a fence: an event that executes with every lane parked and
-  /// synchronized, at exactly the (when, seq) position a plain schedule
-  /// call from the same context would occupy — so serial and partitioned
-  /// runs order it identically. Use for rare mutations of state shared
-  /// across domains (mid-run fault-plan edits, whole-registry sampling).
-  /// A fence scheduled from *inside* an event is a delivery to every lane
-  /// and therefore needs `delay >= lookahead()`, like any cross-domain
-  /// event; from outside events (setup, or another fence body) any future
-  /// time is legal. Serial mode: plain schedule/schedule_at.
-  void schedule_fence(TimePs delay, EventFn&& fn) {
-    schedule_fence_at(now() + delay, std::move(fn));
-  }
-  void schedule_fence_at(TimePs when, EventFn&& fn);
-
-  /// Default domain for events scheduled from outside any event (setup
-  /// code, test drivers). 0 unless overridden via DomainScope.
-  DomainId external_domain() const { return external_domain_; }
-  void set_external_domain(DomainId d);
-
-  /// Oracle hook: called once per executed event, in serial pop order,
-  /// with the event's (when, seq) — the observable the parallel-vs-serial
-  /// differential suite compares. Fires identically in serial mode, in
-  /// serialized partitioned stepping, and from the window replay.
-  using PopObserver = void (*)(void* ctx, TimePs when, std::uint64_t seq);
-  void set_pop_observer(PopObserver fn, void* ctx) {
-    pop_observer_ = fn;
-    pop_observer_ctx_ = ctx;
-  }
-
  private:
-  friend class detail::PartitionedEngine;
-
   TimePs now_ = 0;
   std::uint64_t executed_ = 0;
   CalendarQueue<EventFn> queue_;
-  DomainId external_domain_ = 0;
-  PopObserver pop_observer_ = nullptr;
-  void* pop_observer_ctx_ = nullptr;
-  std::unique_ptr<detail::PartitionedEngine> part_;
-};
-
-/// RAII override of the external (outside-any-event) scheduling domain:
-/// wiring code that arms a component's first event from setup — a storage
-/// node's state-GC tick, say — scopes it into the node's lane so the
-/// rearm chain stays lane-local. No-op on a serial simulator.
-class DomainScope {
- public:
-  DomainScope(Simulator& sim, DomainId domain) : sim_(sim), prev_(sim.external_domain()) {
-    sim_.set_external_domain(domain);
-  }
-  ~DomainScope() { sim_.set_external_domain(prev_); }
-  DomainScope(const DomainScope&) = delete;
-  DomainScope& operator=(const DomainScope&) = delete;
-
- private:
-  Simulator& sim_;
-  DomainId prev_;
 };
 
 }  // namespace nadfs::sim

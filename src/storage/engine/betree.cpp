@@ -262,11 +262,7 @@ void BetaTreeEngine::commit_compaction(std::size_t level) {
 }
 
 void BetaTreeEngine::schedule_commit(TimePs when, sim::EventFn fn) {
-  // Flush/compaction commits always land in the owning node's lane: every
-  // caller of this engine (NIC DMA, host twin, trims) already executes
-  // there, so same-domain scheduling is legal under the partitioned core
-  // and the serial and parallel schedules stay identical.
-  sim_.schedule_at_domain(domain_, std::max(when, sim_.now()), std::move(fn));
+  sim_.schedule_at(std::max(when, sim_.now()), std::move(fn));
 }
 
 std::uint64_t BetaTreeEngine::backlog_runs() const {

@@ -13,8 +13,7 @@
 // compaction pays input-read + output-write bytes — so background jobs
 // *compete with foreground ops* for the same bandwidth, which is exactly
 // the contention the line-rate assumption hides. Flush/compaction commits
-// are sim events scheduled into the owning node's lane; the functional
-// merge is computed eagerly (runs are immutable, so merging at schedule
+// are sim events; the functional merge is computed eagerly (runs are immutable, so merging at schedule
 // time and at commit time give identical bytes) which keeps reads correct
 // while the job is in flight.
 //

@@ -18,8 +18,7 @@
 //    pinned star determinism digests (tests/determinism_test.cpp) and
 //    every paper figure reproduce unchanged.
 //  - Background jobs (BetaTreeEngine flush/compaction commits) are sim
-//    events scheduled into the owning node's lane (set_sim_domain), so
-//    serial == parallel holds under the partitioned core.
+//    events on the same simulator as the foreground ops.
 #pragma once
 
 #include <cstdint>
@@ -116,15 +115,11 @@ class StorageEngine {
     tracer_ = tracer;
     node_ = node;
   }
-  /// Lane the engine's background events (flush/compaction commits)
-  /// schedule into; every caller of this Target already runs in it.
-  void set_sim_domain(sim::DomainId d) { domain_ = d; }
 
  protected:
   sim::Simulator& sim_;
   obs::SpanTracer* tracer_ = nullptr;
   std::uint32_t node_ = 0;
-  sim::DomainId domain_ = 0;
 };
 
 /// Factory. `line_rate_ingest` is TargetConfig::ingest, used only by

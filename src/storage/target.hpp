@@ -73,9 +73,6 @@ class Target {
   void set_tracer(obs::SpanTracer* tracer, std::uint32_t node) {
     engine_->set_tracer(tracer, node);
   }
-  /// Lane the engine's background events schedule into (the owning node's
-  /// lane under the partitioned core).
-  void set_sim_domain(sim::DomainId d) { engine_->set_sim_domain(d); }
 
  private:
   void untrim(std::uint64_t addr, std::uint64_t len);

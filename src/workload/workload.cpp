@@ -89,21 +89,6 @@ void Engine::setup() {
 
 void Engine::run() {
   setup();
-  if (cluster_.per_client_domains()) {
-    // Aggressive per-client-lane mapping: slot op streams execute
-    // concurrently, so only workloads whose cross-slot interactions are
-    // commutative are sound (DESIGN.md §3f). Namespace and append-tail
-    // mutations order-depend; stat reads the append tail mid-run.
-    if (cfg_.rate_ops_per_s <= 0.0) {
-      throw std::logic_error("workload::Engine: per-client domains require the open loop");
-    }
-    for (const auto& t : tenants_) {
-      if (t.spec.mix.append > 0.0 || t.spec.mix.stat > 0.0) {
-        throw std::logic_error(
-            "workload::Engine: per-client domains require a read/write-only op mix");
-      }
-    }
-  }
   if (cfg_.rate_ops_per_s > 0.0) {
     schedule_open_loop();
   } else {
@@ -135,13 +120,10 @@ void Engine::schedule_open_loop() {
   }
   // Pre-draw each arrival's op in arrival order — exactly the order the
   // event loop consumed the Rng when ops were sampled at event time, so
-  // the schedule (and every digest) is unchanged. Each op is pinned to
-  // its slot's lane; under the serial core and the conservative mapping
-  // domain_of_client() is 0 and this degenerates to plain scheduling.
+  // the schedule (and every digest) is unchanged.
   for (const TimePs at : arrivals) {
     const PlannedOp op = draw_planned_op();
-    cluster_.sim().schedule_at_domain(cluster_.domain_of_client(op.slot), at,
-                                      [this, op] { execute_planned(op); });
+    cluster_.sim().schedule_at(at, [this, op] { execute_planned(op); });
   }
 }
 
@@ -253,8 +235,7 @@ void Engine::complete(std::size_t tenant_idx, std::uint64_t object_idx, unsigned
     shard.bytes_ok += bytes;
     if (cfg_.goodput_window > 0) {
       // Per-window goodput bucket (rolling-restart dip observable): a
-      // shard-local, commutative add — safe from concurrent client lanes
-      // and invisible to digests.
+      // shard-local add, invisible to digests.
       const std::size_t w = static_cast<std::size_t>(at / cfg_.goodput_window);
       if (shard.window_bytes.size() <= w) shard.window_bytes.resize(w + 1, 0);
       shard.window_bytes[w] += bytes;
@@ -294,8 +275,8 @@ std::uint64_t Engine::completion_hash(std::uint64_t tenant, std::uint64_t object
 
 void Engine::merge_shards() {
   // Commutative fold of the per-slot shards into the public Stats/digest:
-  // sums and maxes only, so the merged totals are independent of both the
-  // shard order and the (possibly concurrent) order events filled them in.
+  // sums and maxes only, so the merged totals are independent of the
+  // shard order.
   for (Shard& sh : shards_) {
     stats_.offered += sh.offered;
     stats_.offered_bytes += sh.offered_bytes;

@@ -21,15 +21,12 @@
 // a seeded Rng, arrivals are simulator events, and the engine folds every
 // completion into an order-insensitive FNV digest for replay comparison.
 //
-// Domain-parallel operation (DESIGN.md §3f): open-loop arrivals are fully
-// pre-drawn — every random choice (tenant, user, object, op, offset) is
-// sampled at schedule time, before the simulator runs — and all event-time
-// bookkeeping lands in per-client-slot stat shards merged after the run.
-// The engine therefore touches no shared mutable state from event context,
-// which is what makes it safe to pin each slot's op stream to its own
-// simulation lane under the cluster's aggressive per-client mapping. That
-// mapping additionally requires a read/write-only mix over pre-created
-// objects (namespace mutations are not commutative); run() enforces this.
+// Open-loop arrivals are fully pre-drawn: every random choice (tenant,
+// user, object, op, offset) is sampled at schedule time, before the
+// simulator runs, in the order event-time sampling used to consume the
+// Rng, so the schedule and every digest match the recorded pins. Event-time
+// bookkeeping lands in per-client-slot stat shards, folded into Stats and
+// the digest after the run.
 #pragma once
 
 #include <array>
@@ -103,8 +100,7 @@ struct EngineConfig {
   /// bucketed into windows of this width by completion time
   /// (Stats::goodput_timeline) — the observable for goodput *dips* during
   /// rolling restarts. 0 (default) keeps the timeline off. The bucketing
-  /// is a commutative per-shard add, so it is digest-neutral and merges
-  /// identically under the domain-parallel core.
+  /// is a per-shard add, so it is digest-neutral.
   TimePs goodput_window = 0;
   std::uint64_t seed = 1;
   /// Client-side retry/timeout knobs applied to the pooled clients.
@@ -153,11 +149,7 @@ class Engine {
   void setup();
 
   /// Schedule the arrival process and run the simulator until the workload
-  /// drains (all issued ops completed or abandoned). When the cluster runs
-  /// the aggressive per-client-lane mapping, throws std::logic_error unless
-  /// the workload satisfies its soundness preconditions: open loop only,
-  /// and a read/write-only op mix (no append, no stat — namespace and
-  /// append-tail mutations are not commutative across lanes).
+  /// drains (all issued ops completed or abandoned).
   void run();
 
   const Stats& stats() const { return stats_; }
@@ -183,12 +175,10 @@ class Engine {
   };
 
   /// One fully-sampled open-loop op. All randomness is drawn at schedule
-  /// time (serial, before the simulator runs), so executing it reads no
-  /// shared sampler state — each client slot's op stream is read-only input
-  /// to its lane under the aggressive per-client mapping. The draw order
-  /// reproduces the serial engine's Rng stream exactly (arrival times
-  /// first, then per-arrival op draws in arrival order — the order
-  /// event-time sampling consumed them), so pre-drawing changes no digest.
+  /// time, before the simulator runs, so executing it reads no sampler
+  /// state. The draw order reproduces the event-time sampler's Rng stream
+  /// exactly (arrival times first, then per-arrival op draws in arrival
+  /// order), so pre-drawing changes no digest.
   /// Packed to fit EventFn's inline buffer alongside the `this` capture.
   struct PlannedOp {
     std::uint64_t offset = 0;
@@ -201,11 +191,9 @@ class Engine {
   };
 
   /// Per-client-slot stats shard. Every event-time mutation lands in the
-  /// issuing slot's shard: concurrent client lanes never share a cache
-  /// line, and the end-of-run merge (sums plus maxes, digest summed) is
-  /// order-insensitive — serial and domain-parallel runs merge to
-  /// identical totals.
-  struct alignas(64) Shard {
+  /// issuing slot's shard; the end-of-run merge (sums plus maxes, digest
+  /// summed) is order-insensitive.
+  struct Shard {
     std::uint64_t offered = 0;
     std::uint64_t offered_bytes = 0;
     std::uint64_t completed = 0;
@@ -229,9 +217,8 @@ class Engine {
   void issue_one(int session);
   /// Draw one op (the sampling half of issue_one; serial Rng consumer).
   PlannedOp draw_planned_op();
-  /// Fire a pre-drawn op on its slot's client (runs on the slot's lane for
-  /// open-loop arrivals). `session` is the closed-loop session to rearm on
-  /// completion (-1 for open loop).
+  /// Fire a pre-drawn op on its slot's client. `session` is the
+  /// closed-loop session to rearm on completion (-1 for open loop).
   void execute_planned(const PlannedOp& op, int session = -1);
   void complete(std::size_t tenant_idx, std::uint64_t object_idx, unsigned op,
                 std::uint32_t bytes, int session, std::uint32_t slot, dfs::DfsError err,

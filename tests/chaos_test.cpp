@@ -9,15 +9,20 @@
 // The seed comes from NADFS_CHAOS_SEED (default 1); scripts/check.sh reruns
 // the suite with a second seed, so assertions must hold for *any* seed, and
 // anything seed-dependent (exact drop counts, exact detection times) is
-// folded into the digest rather than pinned.
+// folded into the digest rather than pinned. The workload-engine runs at
+// the end are the exception: they use fixed engine seeds and pin their
+// whole result.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "services/failure_detector.hpp"
 #include "storage/engine/betree.hpp"
+#include "workload/workload.hpp"
 
 namespace nadfs {
 namespace {
@@ -424,7 +429,7 @@ std::uint64_t run_kill_mid_compaction_scenario(std::uint64_t seed) {
       dynamic_cast<storage::BetaTreeEngine&>(cluster.storage_by_node(victim).target().engine());
   std::uint64_t buffered_at_kill = 0;
   std::uint64_t backlog_at_kill = 0;
-  cluster.sim().schedule_fence_at(kill_at, [&] {
+  cluster.sim().schedule_at(kill_at, [&] {
     buffered_at_kill = victim_engine.buffered_bytes();
     backlog_at_kill = victim_engine.backlog_runs();
   });
@@ -556,10 +561,9 @@ TEST(Chaos, RebuildDropsBelowKMidCollectAndReportsLossWithoutHanging) {
     if (detector.failed().size() != 2 || rebuild_started) return;
     rebuild_started = true;
     // The collect now streams from targets[1], targets[2] and parity[0];
-    // kill one of them 1 us in, mid-transfer. mutate_faults: this runs
-    // from event context (a detector callback), so under the
-    // domain-parallel core the plan edit must be fenced — and the fence
-    // timing is identical in serial mode, keeping digests comparable.
+    // kill one of them 1 us in, mid-transfer. This runs from event
+    // context (a detector callback), so the plan edit goes through
+    // mutate_faults.
     cluster.network().mutate_faults([&layout, at](net::FaultPlan& plan) {
       plan.kill_node(layout.targets[1].node, at + us(1));
     });
@@ -952,6 +956,98 @@ TEST(Chaos, DeleteDuringRebuildDoesNotResurrect) {
   if (::testing::Test::HasFatalFailure()) return;
   const auto second = run_delete_during_rebuild_scenario(seed);
   EXPECT_EQ(first, second) << "same seed must replay identically (seed " << seed << ")";
+}
+
+
+// ------------------------------------------------- pinned workload runs
+
+struct SysResult {
+  std::uint64_t digest = 0;
+  std::uint64_t offered = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  TimePs last_completion = 0;
+  std::uint64_t executed = 0;
+
+  bool operator==(const SysResult& o) const {
+    return digest == o.digest && offered == o.offered && completed == o.completed &&
+           failed == o.failed && last_completion == o.last_completion && executed == o.executed;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const SysResult& r) {
+  return os << "{0x" << std::hex << r.digest << std::dec << ", " << r.offered << ", "
+            << r.completed << ", " << r.failed << ", " << r.last_completion << ", " << r.executed
+            << "}";
+}
+
+/// Replicated multi-tenant open-loop workload, optionally with a storage
+/// node killed mid-run through Network::mutate_faults from event context.
+/// Covers the fault-edit path and the open-loop pre-draw end to end.
+SysResult run_chaos_workload(std::uint64_t seed, bool kill_node) {
+  ClusterConfig cc;
+  cc.storage_nodes = 4;
+  cc.clients = 2;
+  Cluster cluster(cc);
+
+  workload::EngineConfig ecfg;
+  ecfg.users = 1000;
+  ecfg.client_slots = 2;
+  ecfg.rate_ops_per_s = 4e5;
+  ecfg.duration = us(400);
+  ecfg.seed = seed;
+  workload::TenantSpec tenant;
+  tenant.name = "t";
+  tenant.objects = 8;
+  tenant.object_size = 32 * KiB;
+  tenant.io_bytes = 2 * KiB;
+  tenant.policy.resiliency = dfs::Resiliency::kReplication;
+  tenant.policy.repl_k = 2;
+  workload::Engine engine(cluster, ecfg, {tenant});
+  if (kill_node) {
+    const net::NodeId victim = cluster.storage_node(1).id();
+    cluster.sim().schedule_at(us(120), [&cluster, victim] {
+      cluster.network().mutate_faults([&cluster, victim](net::FaultPlan& plan) {
+        plan.kill_node(victim, cluster.sim().now() + us(1));
+      });
+    });
+  }
+  engine.run();
+
+  SysResult r;
+  r.digest = engine.digest();
+  r.offered = engine.stats().offered;
+  r.completed = engine.stats().completed;
+  r.failed = engine.stats().failed;
+  r.last_completion = engine.stats().last_completion;
+  r.executed = cluster.sim().executed_events();
+  return r;
+}
+
+// The whole result is pinned, not only replayed: a schedule change that
+// alters any op's outcome or completion time, or the number of events
+// executed, fails here even when two runs of it agree.
+TEST(Chaos, WorkloadWithMidRunKillIsPinned) {
+  const std::map<std::uint64_t, SysResult> pinned = {
+      {1, {0xe3052607523a14d8ull, 159, 119, 0, 401275408, 1683}},
+      {7, {0x9d3d0d0f24bedf7dull, 161, 125, 0, 398568805, 1740}},
+  };
+  for (const auto& [seed, want] : pinned) {
+    const auto got = run_chaos_workload(seed, /*kill_node=*/true);
+    EXPECT_LT(got.completed, got.offered) << "the kill must strand ops (seed " << seed << ")";
+    EXPECT_EQ(got, want) << "seed " << seed;
+  }
+}
+
+TEST(Chaos, MixedWorkloadIsPinnedAcrossSeeds) {
+  const std::map<std::uint64_t, SysResult> pinned = {
+      {1, {0x41063856bfe3457bull, 159, 159, 0, 401275408, 1921}},
+      {7, {0x02c81eca0527ebafull, 161, 161, 0, 399378206, 1954}},
+      {13, {0x20354b8fe311e360ull, 141, 141, 0, 398267106, 1602}},
+  };
+  for (const auto& [seed, want] : pinned) {
+    EXPECT_EQ(run_chaos_workload(seed, /*kill_node=*/false), want) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -34,11 +34,9 @@ struct RunResult {
   std::vector<Bytes> replicas;
 };
 
-RunResult run_spin_pbt_k4(std::size_t size, std::uint64_t seed,
-                          services::SimParallelConfig par = {}) {
+RunResult run_spin_pbt_k4(std::size_t size, std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.storage_nodes = 4;
-  cfg.parallel = par;
   Cluster cluster(cfg);
   Client client(cluster, 0);
   FilePolicy policy;
@@ -109,22 +107,6 @@ TEST(Determinism, SpinPbtK4DigestPinnedAcrossQueueSwap) {
   // constants and say so in the commit message.
   EXPECT_EQ(run_digest(run_spin_pbt_k4(5 * 2048 + 13, 7)), 0xc0411f89e10c90ccull);
   EXPECT_EQ(run_digest(run_spin_pbt_k4(64 * KiB, 21)), 0x4fa062e29be13837ull);
-}
-
-TEST(Determinism, SpinPbtK4DigestPinnedUnderDomainParallel) {
-  // The domain-partitioned core (DESIGN.md §3f) must reproduce the serial
-  // schedule bit-exactly: the same pinned digests as the serial runs above,
-  // with the conservative windowed scheduler and worker threads on. A
-  // mismatch here means the parallel merge rule diverged from serial
-  // (when, seq) order — not a timing-model change; do NOT re-record.
-  services::SimParallelConfig par;
-  par.mode = services::SimParallelConfig::Mode::kOn;
-  par.threads = 4;
-  EXPECT_EQ(run_digest(run_spin_pbt_k4(5 * 2048 + 13, 7, par)), 0xc0411f89e10c90ccull);
-  EXPECT_EQ(run_digest(run_spin_pbt_k4(64 * KiB, 21, par)), 0x4fa062e29be13837ull);
-  par.threads = 1;  // windowed algorithm, single-threaded: same schedule
-  EXPECT_EQ(run_digest(run_spin_pbt_k4(5 * 2048 + 13, 7, par)), 0xc0411f89e10c90ccull);
-  EXPECT_EQ(run_digest(run_spin_pbt_k4(64 * KiB, 21, par)), 0x4fa062e29be13837ull);
 }
 
 TEST(Determinism, LargerPbtWriteIsReproducible) {

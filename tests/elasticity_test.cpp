@@ -10,9 +10,9 @@
 //
 // Chaos methodology (PR 4): seeded scenarios run twice and must produce
 // bit-identical FNV digests; NADFS_CHAOS_SEED varies the seed and
-// scripts/check.sh re-runs these suites under a second seed and under
-// NADFS_SIM_PARALLEL=1, so assertions hold for any seed and anything
-// seed-dependent is digest-folded, not pinned.
+// scripts/check.sh re-runs these suites under a second seed, so
+// assertions hold for any seed and anything seed-dependent is
+// digest-folded, not pinned.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -174,7 +174,7 @@ std::uint64_t run_kill_restart_rejoin(std::uint64_t seed) {
   plan.restart_at(victim, restart_time);
   cluster.network().install_faults(plan);
   // The revived machine comes back with cold NIC state; NVMM survives.
-  cluster.sim().schedule_fence_at(restart_time, [&cluster, victim] {
+  cluster.sim().schedule_at(restart_time, [&cluster, victim] {
     cluster.storage_by_node(victim).restart_dfs();
   });
 
@@ -321,7 +321,7 @@ std::uint64_t run_restart_during_partition(std::uint64_t seed) {
   plan.restart_at(victim, restart_time);
   plan.trunk_down(0, spine, cut_at, heal_at);
   cluster.network().install_faults(plan);
-  cluster.sim().schedule_fence_at(restart_time, [&cluster, victim] {
+  cluster.sim().schedule_at(restart_time, [&cluster, victim] {
     cluster.storage_by_node(victim).restart_dfs();
   });
 
@@ -881,7 +881,7 @@ std::uint64_t run_rolling_restart(std::uint64_t seed) {
   cluster.network().install_faults(plan);
   for (std::size_t i = 0; i < cluster.storage_node_count(); ++i) {
     const net::NodeId node = cluster.storage_node(i).id();
-    cluster.sim().schedule_fence_at(restarts[i], [&cluster, node] {
+    cluster.sim().schedule_at(restarts[i], [&cluster, node] {
       cluster.storage_by_node(node).restart_dfs();
     });
   }

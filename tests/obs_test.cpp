@@ -5,7 +5,10 @@
 // not change what a run computes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "obs/json.hpp"
@@ -45,29 +48,106 @@ TEST(ObsCounter, BehavesLikeTheRawInteger) {
   EXPECT_EQ(*c.cell(), 6u);
 }
 
-TEST(ObsHist, BucketsByLog2Nanoseconds) {
-  obs::SimTimeHist h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min_ps(), 0u);
+TEST(ObsSketch, IndexOfClampsBothEnds) {
+  using S = obs::QuantileSketch;
+  // Below 2 ns everything shares bucket 0; 2 ns opens major 1.
+  EXPECT_EQ(S::index_of(0), 0u);
+  EXPECT_EQ(S::index_of(999), 0u);
+  EXPECT_EQ(S::index_of(ns(1)), 0u);
+  EXPECT_EQ(S::index_of(ns(2) - 1), 0u);
+  EXPECT_EQ(S::index_of(ns(2)), S::kSub);
+  // The top of the range and anything past it land in the last bucket
+  // instead of indexing out of range.
+  const std::uint64_t top_ns = (std::uint64_t{1} << S::kMajor) - 1;
+  EXPECT_EQ(S::index_of(top_ns * 1000), S::kBuckets - 1);
+  EXPECT_EQ(S::index_of((top_ns + 1) * 1000), S::kBuckets - 1);
+  EXPECT_EQ(S::index_of(~0ull), S::kBuckets - 1);
+  // In range, a duration lies inside the bounds of its own sub-bucket.
+  for (std::uint64_t v = 2; v < top_ns; v = v * 3 + 1) {
+    const std::size_t i = S::index_of(v * 1000);
+    EXPECT_LE(S::bucket_lo_ns(i), static_cast<double>(v)) << v << " ns";
+    EXPECT_LT(static_cast<double>(v), S::bucket_hi_ns(i)) << v << " ns";
+  }
+}
+
+TEST(ObsSketch, QuantileWithinOneSubBucketOfExactAndClamped) {
+  obs::QuantileSketch s;
   if constexpr (!obs::kObsEnabled) {
     // NADFS_OBS=OFF: record() compiles to a no-op by design.
-    h.record(ns(1));
-    EXPECT_EQ(h.count(), 0u);
-    GTEST_SKIP() << "histograms compiled out (NADFS_OBS=OFF)";
+    s.record(ns(1));
+    EXPECT_EQ(s.count(), 0u);
+    GTEST_SKIP() << "sketches compiled out (NADFS_OBS=OFF)";
   }
-  h.record(ns(1));
-  h.record(ns(3));
-  h.record(us(1));
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum_ps(), ns(4) + us(1));
-  EXPECT_EQ(h.min_ps(), ns(1));
-  EXPECT_EQ(h.max_ps(), us(1));
-  EXPECT_EQ(h.bucket(obs::SimTimeHist::bucket_of(ns(1))), 1u);
-  EXPECT_EQ(h.bucket(obs::SimTimeHist::bucket_of(ns(3))), 1u);  // floor(log2(3)) == 1
-  EXPECT_EQ(h.bucket(obs::SimTimeHist::bucket_of(us(1))), 1u);
-  // Sub-ns and huge durations clamp instead of indexing out of range.
-  EXPECT_EQ(obs::SimTimeHist::bucket_of(1), 0u);
-  EXPECT_EQ(obs::SimTimeHist::bucket_of(~0ull), obs::SimTimeHist::kBuckets - 1);
+  // Log-uniform durations from 100 ns to ~1 ms, whole nanoseconds.
+  Rng rng(5);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 20000; ++i) {
+    const double exponent = 2.0 + 4.0 * rng.next_double();
+    samples.push_back(static_cast<std::uint64_t>(std::pow(10.0, exponent)) * 1000);
+  }
+  for (const auto v : samples) s.record(v);
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(s.count(), samples.size());
+  EXPECT_EQ(s.min_ps(), samples.front());
+  EXPECT_EQ(s.max_ps(), samples.back());
+  for (const double q : {0.01, 0.1, 0.5, 0.9, 0.99, 0.999}) {
+    const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(samples.size())));
+    const std::uint64_t exact = samples[rank - 1];
+    const std::size_t i = obs::QuantileSketch::index_of(exact);
+    const double width_ps =
+        (obs::QuantileSketch::bucket_hi_ns(i) - obs::QuantileSketch::bucket_lo_ns(i)) * 1000.0;
+    const double got = static_cast<double>(s.quantile_ps(q));
+    EXPECT_LE(std::abs(got - static_cast<double>(exact)), width_ps) << "q " << q;
+  }
+  // The extremes are clamped to the observed range ...
+  EXPECT_EQ(s.quantile_ps(0.0), s.min_ps());
+  EXPECT_EQ(s.quantile_ps(1.0), s.max_ps());
+  // ... which makes a single-valued distribution exact at every quantile,
+  // though its sub-bucket is ~2 us wide.
+  obs::QuantileSketch one;
+  for (int i = 0; i < 3; ++i) one.record(123'456'789);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) EXPECT_EQ(one.quantile_ps(q), 123'456'789u);
+}
+
+TEST(ObsSketch, MergeEqualsRecordingTheUnion) {
+  obs::QuantileSketch a, b, both;
+  if constexpr (!obs::kObsEnabled) {
+    a.record(ns(1));
+    EXPECT_EQ(a.count(), 0u);
+    GTEST_SKIP() << "sketches compiled out (NADFS_OBS=OFF)";
+  }
+  Rng rng(11);
+  for (int i = 0; i < 500; ++i) {
+    const std::uint64_t v = ns(50) + rng.next_below(us(20));
+    a.record(v);
+    both.record(v);
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t v = us(5) + rng.next_below(ms(2));
+    b.record(v);
+    both.record(v);
+  }
+  const auto same = [](const obs::QuantileSketch& x, const obs::QuantileSketch& y) {
+    if (x.count() != y.count() || x.sum_ps() != y.sum_ps() || x.min_ps() != y.min_ps() ||
+        x.max_ps() != y.max_ps()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < obs::QuantileSketch::kBuckets; ++i) {
+      if (x.bucket(i) != y.bucket(i)) return false;
+    }
+    return x.quantile_ps(0.5) == y.quantile_ps(0.5) && x.quantile_ps(0.99) == y.quantile_ps(0.99);
+  };
+  obs::QuantileSketch merged = a;
+  merged.merge(b);
+  EXPECT_TRUE(same(merged, both));
+  // Order does not matter, and merging into or from an empty sketch is the
+  // identity.
+  obs::QuantileSketch reversed;
+  reversed.merge(b);
+  reversed.merge(a);
+  EXPECT_TRUE(same(reversed, both));
+  merged.merge(obs::QuantileSketch{});
+  EXPECT_TRUE(same(merged, both));
 }
 
 // -------------------------------------------------------------- registry
@@ -76,12 +156,12 @@ TEST(ObsRegistry, SnapshotAndJsonRoundTrip) {
   obs::MetricRegistry reg;
   obs::Counter acks;
   std::uint64_t raw_cell = 0;
-  obs::SimTimeHist lat;
+  obs::QuantileSketch lat;
   int depth = 0;
   reg.counter("node1.dfs.acks", acks);
   reg.counter_cell("node1.nic.raw", &raw_cell);
   reg.gauge("node1.queue_depth", [&depth] { return static_cast<long long>(depth); });
-  reg.histogram("client0.latency", lat);
+  reg.sketch("client0.latency", lat);
 
   acks += 3;
   raw_cell = 7;
@@ -95,6 +175,8 @@ TEST(ObsRegistry, SnapshotAndJsonRoundTrip) {
   if constexpr (obs::kObsEnabled) {
     EXPECT_EQ(snap.at("client0.latency.count"), 1);
     EXPECT_EQ(snap.at("client0.latency.sum_ps"), static_cast<long long>(us(2)));
+    const auto bucket = "client0.latency.s" + std::to_string(obs::QuantileSketch::index_of(us(2)));
+    EXPECT_EQ(snap.at(bucket), 1);
   } else {
     EXPECT_EQ(snap.at("client0.latency.count"), 0);  // record() compiled out
   }
@@ -128,7 +210,7 @@ TEST(ObsRegistry, ClientBindsAndUnbindsItself) {
     const std::string prefix = "client" + std::to_string(client.client_id());
     EXPECT_EQ(snap.count(prefix + ".retries_performed"), 1u);
     EXPECT_EQ(snap.count(prefix + ".pending_ops"), 1u);
-    EXPECT_EQ(snap.count(prefix + ".write_latency.count"), 1u);
+    EXPECT_EQ(snap.count(prefix + ".write_latency_q.count"), 1u);
   }
   // Destroyed client removed its subtree; nothing dangles.
   EXPECT_EQ(cluster.metrics().size(), before);

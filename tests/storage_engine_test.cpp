@@ -13,9 +13,8 @@
 //    Bε-tree's functional behaviour is differential-tested against a flat
 //    in-memory oracle under randomized workloads.
 //
-// scripts/check.sh reruns this binary under NADFS_SIM_PARALLEL={0,1} x
-// NADFS_CHAOS_SEED={1,7}; the randomized suites fold the seed in and
-// print it on failure.
+// scripts/check.sh reruns this binary under NADFS_CHAOS_SEED={1,7}; the
+// randomized suites fold the seed in and print it on failure.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -299,11 +298,9 @@ TEST(BetaTree, CompactionOutputsRetainOnlyTheirLogicalBytes) {
   EXPECT_EQ(t.read(0, kSpan), oracle);
 }
 
-std::uint64_t betree_cluster_digest(std::uint64_t seed, bool parallel) {
+std::uint64_t betree_cluster_digest(std::uint64_t seed) {
   services::ClusterConfig cfg;
   cfg.storage_nodes = 4;
-  cfg.parallel.mode = parallel ? services::SimParallelConfig::Mode::kOn
-                               : services::SimParallelConfig::Mode::kOff;
   TargetConfig tcfg;
   tcfg.engine = betree_config();
   cfg.per_node_target = {tcfg};
@@ -342,16 +339,23 @@ std::uint64_t betree_cluster_digest(std::uint64_t seed, bool parallel) {
 
 TEST(BetaTree, ClusterDigestIsReproducible) {
   const std::uint64_t seed = env_seed();
-  const auto first = betree_cluster_digest(seed, false);
-  const auto second = betree_cluster_digest(seed, false);
+  const auto first = betree_cluster_digest(seed);
+  const auto second = betree_cluster_digest(seed);
   EXPECT_EQ(first, second) << "seed " << seed;
 }
 
-TEST(BetaTree, ClusterDigestSerialMatchesParallel) {
+TEST(BetaTree, ClusterDigestPinned) {
+  // Pinned for the two seeds scripts/check.sh runs: the replicated write
+  // lands on four Bε-tree engines whose background flushes and compactions
+  // are simulator events; a change that moves the final time, the event
+  // count or the replica bytes folded into the digest fails here.
   const std::uint64_t seed = env_seed();
-  const auto serial = betree_cluster_digest(seed, false);
-  const auto parallel = betree_cluster_digest(seed, true);
-  EXPECT_EQ(serial, parallel) << "seed " << seed;
+  const std::map<std::uint64_t, std::uint64_t> pinned = {{1, 0x5084d5ef06208096ull},
+                                                          {7, 0x2ec2670517a0af8aull}};
+  const auto digest = betree_cluster_digest(seed);
+  if (const auto it = pinned.find(seed); it != pinned.end()) {
+    EXPECT_EQ(digest, it->second) << "seed " << seed << std::hex << " digest 0x" << digest;
+  }
 }
 
 // ------------------------------------------------------- EngineEquivalence
