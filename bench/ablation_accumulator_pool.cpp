@@ -42,8 +42,8 @@ Point run(std::size_t pool_bytes) {
   for (int w = 0; w < 8; ++w) {
     const auto& layout = cluster.metadata().create("f" + std::to_string(w), 128 * KiB, policy);
     const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-    client.write(layout, cap, random_bytes(128 * KiB, w), [&](bool ok, TimePs at) {
-      done += ok;
+    client.write(layout, cap, random_bytes(128 * KiB, w), [&](dfs::DfsError err, TimePs at) {
+      done += err == dfs::DfsError::kOk;
       p.latency_ns = std::max(p.latency_ns, to_ns(at));
     });
   }

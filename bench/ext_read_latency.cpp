@@ -45,7 +45,7 @@ double read_latency_ns(Mode mode, std::size_t size) {
   } else {
     issued = cluster.sim().now();
     client.read(layout, cap, static_cast<std::uint32_t>(size),
-                [&](Bytes, TimePs at) { latency = to_ns(at - issued); });
+                [&](dfs::DfsError, Bytes, TimePs at) { latency = to_ns(at - issued); });
   }
   cluster.sim().run();
   return latency;

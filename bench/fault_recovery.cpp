@@ -50,7 +50,9 @@ Row run_point(unsigned k, unsigned m, std::size_t size) {
   r.chunk = layout.chunk_len;
 
   bool wrote = false;
-  writer.write(layout, cap, random_bytes(size, 42), [&](bool ok, TimePs) { wrote = ok; });
+  writer.write(layout, cap, random_bytes(size, 42), [&](dfs::DfsError err, TimePs) {
+    wrote = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   if (!wrote) return r;
 

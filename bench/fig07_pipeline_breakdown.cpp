@@ -41,7 +41,7 @@ int main() {
   const auto& layout = cluster.metadata().create("x", 4 * KiB, FilePolicy{});
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
   protocols::SpinWrite spin;
-  spin.write(client, layout, cap, random_bytes(1500, 1), [](bool, TimePs) {});
+  spin.write(client, layout, cap, random_bytes(1500, 1), [](dfs::DfsError, TimePs) {});
   cluster.sim().run();
   const auto& stats = cluster.storage_node(0).pspin().stats();
   std::printf("\nmeasured HH duration on the full stack: %.0f ns (config sum: %u)\n",

@@ -45,8 +45,8 @@ double window_bandwidth_gbps(unsigned k, unsigned m, std::size_t block, bool wit
         "w" + std::to_string(w), block,
         ec_policy(static_cast<std::uint8_t>(k), static_cast<std::uint8_t>(m)));
     const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-    proto->write(client, layout, cap, random_bytes(block, w), [&](bool ok, TimePs at) {
-      if (ok) {
+    proto->write(client, layout, cap, random_bytes(block, w), [&](dfs::DfsError err, TimePs at) {
+      if (err == dfs::DfsError::kOk) {
         ++done;
         last = std::max(last, at);
       }

@@ -27,7 +27,7 @@ pspin::HandlerStats collect(std::uint8_t k, std::uint8_t m) {
     const auto& layout =
         cluster.metadata().create("f" + std::to_string(w), 256 * KiB, policy);
     const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-    client.write(layout, cap, random_bytes(256 * KiB, w), [](bool, TimePs) {});
+    client.write(layout, cap, random_bytes(256 * KiB, w), [](dfs::DfsError, TimePs) {});
   }
   cluster.sim().run();
   // Data-node handlers: node 0 is the first data target of every file.

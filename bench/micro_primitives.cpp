@@ -536,7 +536,7 @@ ObsRun run_obs_goodput(ObsVariant variant, std::size_t size, unsigned n_clients,
       const auto cap =
           cluster.metadata().grant(clients[c]->client_id(), layout, auth::Right::kWrite);
       clients[c]->write(layout, cap, random_bytes(size, c * 1000 + w),
-                        [&completions](bool, TimePs) { ++completions; });
+                        [&completions](dfs::DfsError, TimePs) { ++completions; });
     }
   }
   // Bounded-horizon drive (a running sampler keeps the queue non-empty, so

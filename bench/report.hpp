@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -23,15 +25,18 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace nadfs::bench {
 
 /// Process-wide accumulator for per-point cluster metric snapshots
 /// (obs::MetricRegistry::snapshot()). Each sweep point's flat
-/// (name -> value) map is summed in; addition is commutative, so the
-/// totals are independent of thread scheduling and SweepReport::finish can
-/// embed them in BENCH_<name>.json without breaking parallel/serial output
-/// equivalence.
+/// (name -> value) map is merged in: counters and quantile-sketch buckets
+/// sum, a sketch's `.max_ps` merges as a max and its `.min_ps` as a min
+/// over the snapshots whose sketch recorded samples (an empty sketch
+/// reports 0). Every merge is commutative, so the totals are independent
+/// of thread scheduling and SweepReport::finish can embed them in
+/// BENCH_<name>.json without breaking parallel/serial output equivalence.
 class MetricsAccumulator {
  public:
   static MetricsAccumulator& instance() {
@@ -41,13 +46,51 @@ class MetricsAccumulator {
 
   void add(const std::map<std::string, long long>& snapshot) {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, value] : snapshot) sums_[name] += value;
+    for (const auto& [name, value] : snapshot) {
+      long long& total = totals_[name];
+      if (sketch_count(snapshot, name, ".max_ps") != nullptr) {
+        total = std::max(total, value);
+      } else if (const long long* count = sketch_count(snapshot, name, ".min_ps")) {
+        if (*count > 0) total = has_min_.insert(name).second ? value : std::min(total, value);
+      } else {
+        total += value;
+      }
+    }
     ++snapshots_;
   }
 
+  /// The merged totals plus "<base>.p50_ns"/"<base>.p99_ns" for every
+  /// quantile-sketch family with samples, read off the merged sketch by
+  /// obs::QuantileSketch::quantile_of.
   std::map<std::string, long long> totals() const {
     const std::lock_guard<std::mutex> lock(mu_);
-    return sums_;
+    constexpr std::string_view kCount = ".count";
+    std::map<std::string, long long> out = totals_;
+    for (const auto& [name, count] : totals_) {
+      if (count <= 0 || !name.ends_with(kCount)) continue;
+      const std::string base = name.substr(0, name.size() - kCount.size());
+      const auto min_ps = totals_.find(base + ".min_ps");
+      const auto max_ps = totals_.find(base + ".max_ps");
+      if (min_ps == totals_.end() || max_ps == totals_.end()) continue;
+      std::array<std::uint64_t, obs::QuantileSketch::kBuckets> buckets{};
+      const std::string sub = base + ".s";
+      for (auto it = totals_.lower_bound(sub); it != totals_.end() && it->first.starts_with(sub);
+           ++it) {
+        const std::string idx = it->first.substr(sub.size());
+        if (idx.empty() || idx.find_first_not_of("0123456789") != std::string::npos) continue;
+        const auto i = std::strtoull(idx.c_str(), nullptr, 10);
+        if (i < buckets.size()) buckets[i] = static_cast<std::uint64_t>(it->second);
+      }
+      const auto ns = [&](double q) {
+        const std::uint64_t ps = obs::QuantileSketch::quantile_of(
+            buckets, static_cast<std::uint64_t>(count), static_cast<std::uint64_t>(min_ps->second),
+            static_cast<std::uint64_t>(max_ps->second), q);
+        return static_cast<long long>((ps + 500) / 1000);
+      };
+      out[base + ".p50_ns"] = ns(0.50);
+      out[base + ".p99_ns"] = ns(0.99);
+    }
+    return out;
   }
 
   std::size_t snapshots() const {
@@ -56,8 +99,18 @@ class MetricsAccumulator {
   }
 
  private:
+  /// The "<base>.count" of the sketch family `name` belongs to when `name`
+  /// is "<base><suffix>" and `snapshot` holds that count; else nullptr.
+  static const long long* sketch_count(const std::map<std::string, long long>& snapshot,
+                                       const std::string& name, std::string_view suffix) {
+    if (!name.ends_with(suffix)) return nullptr;
+    const auto it = snapshot.find(name.substr(0, name.size() - suffix.size()) + ".count");
+    return it == snapshot.end() ? nullptr : &it->second;
+  }
+
   mutable std::mutex mu_;
-  std::map<std::string, long long> sums_;
+  std::map<std::string, long long> totals_;
+  std::set<std::string> has_min_;  ///< `.min_ps` entries holding a real min
   std::size_t snapshots_ = 0;
 };
 
@@ -157,14 +210,11 @@ class SweepReport {
       std::fprintf(f, "%s\n    \"%s\"", i ? "," : "", json_escape(csv_[i]).c_str());
     }
     std::fprintf(f, "%s],\n", csv_.empty() ? "" : "\n  ");
-    // Summed cluster-metric snapshots across every measured point (empty
-    // object when the bench never harvested a cluster). Quantile-sketch
-    // families additionally get derived .p50_ns/.p99_ns entries — summing
-    // sub-bucket counts across snapshots yields a valid merged sketch, so
-    // the percentiles cover every measured point.
+    // Merged cluster-metric snapshots across every measured point (empty
+    // object when the bench never harvested a cluster), with the
+    // percentiles of every merged quantile sketch.
     const auto& acc = MetricsAccumulator::instance();
-    auto totals = acc.totals();
-    add_sketch_percentiles(totals);
+    const auto totals = acc.totals();
     std::fprintf(f, "  \"metric_snapshots\": %zu,\n  \"metrics\": {", acc.snapshots());
     std::size_t i = 0;
     for (const auto& [metric, value] : totals) {
@@ -176,70 +226,6 @@ class SweepReport {
   }
 
  private:
-  /// Derive p50/p99 (in ns) for every quantile-sketch family in `totals`
-  /// and insert them as "<base>.p50_ns"/"<base>.p99_ns". A family is a
-  /// "<base>.count" entry with a "<base>.max_ps" sibling (only
-  /// MetricRegistry's sketch flattening emits that pair); its buckets are
-  /// the nonzero "<base>.s<i>" entries.
-  static void add_sketch_percentiles(std::map<std::string, long long>& totals) {
-    std::vector<std::pair<std::string, std::pair<long long, long long>>> derived;
-    for (const auto& [name, count] : totals) {
-      const std::string_view suffix = ".count";
-      if (name.size() <= suffix.size() ||
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-        continue;
-      }
-      const std::string base = name.substr(0, name.size() - suffix.size());
-      if (count <= 0 || totals.find(base + ".max_ps") == totals.end()) continue;
-      std::vector<std::pair<std::size_t, long long>> sub;
-      for (const auto& [sname, svalue] : totals) {
-        if (sname.size() <= base.size() + 2 || sname.compare(0, base.size(), base) != 0 ||
-            sname[base.size()] != '.' || sname[base.size() + 1] != 's') {
-          continue;
-        }
-        const std::string idx = sname.substr(base.size() + 2);
-        if (idx.empty() || idx.find_first_not_of("0123456789") != std::string::npos) continue;
-        sub.emplace_back(static_cast<std::size_t>(std::strtoull(idx.c_str(), nullptr, 10)),
-                         svalue);
-      }
-      std::sort(sub.begin(), sub.end());
-      derived.emplace_back(base, std::make_pair(sketch_percentile_ns(sub, count, 0.50),
-                                                sketch_percentile_ns(sub, count, 0.99)));
-    }
-    for (const auto& [base, p] : derived) {
-      totals[base + ".p50_ns"] = p.first;
-      totals[base + ".p99_ns"] = p.second;
-    }
-  }
-
-  /// Percentile from sorted (sub-bucket index, count) pairs of an
-  /// obs::QuantileSketch: major = i/32 is the log2(ns) bucket, the 32
-  /// slices of [2^major, 2^{major+1}) ns are linear.
-  static long long sketch_percentile_ns(const std::vector<std::pair<std::size_t, long long>>& sub,
-                                        long long count, double q) {
-    constexpr std::size_t kSub = 32;
-    const double target = q * static_cast<double>(count);
-    double cum = 0.0;
-    for (const auto& [i, c] : sub) {
-      if (c <= 0) continue;
-      const double prev = cum;
-      cum += static_cast<double>(c);
-      if (cum < target) continue;
-      const std::size_t major = i / kSub;
-      const std::size_t slice = i % kSub;
-      const double base = static_cast<double>(std::uint64_t{1} << major);
-      const double lo = i == 0 ? 0.0
-                               : base * static_cast<double>(kSub + slice) /
-                                     static_cast<double>(kSub);
-      const double hi =
-          base * static_cast<double>(kSub + slice + 1) / static_cast<double>(kSub);
-      const double frac =
-          std::min(1.0, std::max(0.0, (target - prev) / static_cast<double>(c)));
-      return static_cast<long long>(lo + (hi - lo) * frac + 0.5);
-    }
-    return 0;
-  }
-
   static std::string json_escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());

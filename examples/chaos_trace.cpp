@@ -83,7 +83,9 @@ int main() {
 
   // v1 lands cleanly — a healthy end-to-end trace to compare against.
   bool v1_ok = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    v1_ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run_until(cluster.sim().now() + ms(1));
   if (!v1_ok) return fail("clean EC write did not complete");
   const TimePs t0 = cluster.sim().now();
@@ -99,9 +101,9 @@ int main() {
   writer.set_timeout(us(30));
   writer.set_retry_policy(1, us(10));
   bool v2_done = false, v2_ok = true;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) {
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
     v2_done = true;
-    v2_ok = ok;
+    v2_ok = err == dfs::DfsError::kOk;
   });
   cluster.sim().run_until(t0 + ms(2));
   cluster.stop_state_gc();

@@ -41,8 +41,8 @@ int main() {
     const auto& layout =
         cluster.metadata().create("/archive/obj" + std::to_string(i), kObjectSize, policy);
     const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-    client.write(layout, cap, data, [&](bool ok, TimePs at) {
-      if (ok) ++stored;
+    client.write(layout, cap, data, [&](dfs::DfsError err, TimePs at) {
+      if (err == dfs::DfsError::kOk) ++stored;
       std::printf("object stored (data on 6 nodes, parity on 3) at %s\n",
                   format_time(at).c_str());
     });

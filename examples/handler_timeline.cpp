@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   repl.repl_k = 3;
   const auto& obj_r = cluster.metadata().create("replicated", 128 * KiB, repl);
   const auto cap_r = cluster.metadata().grant(client.client_id(), obj_r, auth::Right::kWrite);
-  client.write(obj_r, cap_r, data, [](bool, TimePs) {});
+  client.write(obj_r, cap_r, data, [](dfs::DfsError, TimePs) {});
 
   FilePolicy ec;
   ec.resiliency = dfs::Resiliency::kErasureCoding;
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   ec.ec_m = 2;
   const auto& obj_e = cluster.metadata().create("coded", 128 * KiB, ec);
   const auto cap_e = cluster.metadata().grant(client.client_id(), obj_e, auth::Right::kWrite);
-  client.write(obj_e, cap_e, data, [](bool, TimePs) {});
+  client.write(obj_e, cap_e, data, [](dfs::DfsError, TimePs) {});
 
   const TimePs end = cluster.sim().run();
 

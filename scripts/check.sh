@@ -141,6 +141,44 @@ echo "== elasticity bench smoke (BENCH_elasticity.json validation)"
 echo "== workload bench smoke (BENCH_workloads.json validation)"
 (cd "$BUILD_DIR" && NADFS_BENCH_SMOKE=1 "./bench/workloads" > /dev/null)
 
+# Paper-figure, ablation and extension benches, plus the fault-recovery and
+# fabric sweeps (~2 s of sweeps together): each runs in its own scratch
+# directory under the build tree and must exit 0 and leave a
+# BENCH_<name>.json that strict-parses (no NaN/Infinity) with non-empty rows.
+echo "== figure/ablation/extension benches (BENCH_<name>.json validation)"
+BENCH_BIN="$PWD/$BUILD_DIR/bench"
+BENCH_RUNS="$BUILD_DIR/bench-runs"
+FIGURE_BENCHES=(
+  fig04_nic_memory fig06_write_latency fig07_pipeline_breakdown
+  fig09_replication_latency fig09_goodput fig10_replication_factor
+  fig11_handler_runtimes fig15_ec_latency fig15_ec_bandwidth fig16_ec_handlers
+  ablation_egress_queue ablation_accumulator_pool ablation_interleave
+  ablation_chunk_size ablation_auth ablation_hpu_scaling ext_read_latency
+  fault_recovery fabric
+)
+for b in "${FIGURE_BENCHES[@]}"; do
+  rm -rf "${BENCH_RUNS:?}/$b"
+  mkdir -p "$BENCH_RUNS/$b"
+  if ! (cd "$BENCH_RUNS/$b" && "$BENCH_BIN/$b" > stdout.txt 2>&1); then
+    echo "FAIL: bench $b exited non-zero"
+    tail -n 20 "$BENCH_RUNS/$b/stdout.txt"
+    exit 1
+  fi
+done
+python3 - "$BENCH_RUNS" "${FIGURE_BENCHES[@]}" <<'EOF'
+import json, os, sys
+runs, names = sys.argv[1], sys.argv[2:]
+def reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+for name in names:
+    path = os.path.join(runs, name, f"BENCH_{name}.json")
+    with open(path) as fh:
+        doc = json.load(fh, parse_constant=reject)
+    rows = doc.get("rows")
+    assert isinstance(rows, list) and rows, f"{path}: no rows"
+print(f"bench reports OK: {len(names)} benches, every BENCH_<name>.json parses with rows")
+EOF
+
 # Observability gate: the trace-enabled kill-mid-EC-write chaos scenario
 # (examples/chaos_trace) self-validates its span correlation and state-GC
 # drain, then the exported artifacts must parse — the Perfetto trace and

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,8 +64,8 @@ class Counter {
 /// nanoseconds, each subdivided into 32 linear sub-buckets, so any
 /// quantile is recovered with a bounded ~3% relative error. Recording is a few integer ops and
 /// allocates nothing; buckets are plain counts, so sketches merge (and
-/// MetricsAccumulator sums across sweep points) commutatively. Under
-/// NADFS_OBS_DISABLED record() compiles to a no-op.
+/// MetricsAccumulator merges their snapshots across sweep points)
+/// commutatively. Under NADFS_OBS_DISABLED record() compiles to a no-op.
 class QuantileSketch {
  public:
   static constexpr std::size_t kMajor = 48;
@@ -101,25 +102,35 @@ class QuantileSketch {
   /// Quantile in picoseconds (q in [0,1]): linear interpolation within
   /// the crossing sub-bucket, clamped to the observed [min, max].
   std::uint64_t quantile_ps(double q) const {
-    if (count_ == 0) return 0;
-    const double target = q * static_cast<double>(count_);
+    return quantile_of(buckets_, count_, min_ps_, max_ps_, q);
+  }
+
+  /// The quantile routine behind quantile_ps(), over a sketch's parts:
+  /// the kBuckets sub-bucket counts of `count` samples and their observed
+  /// [min_ps, max_ps]. bench/report.hpp derives BENCH percentiles from
+  /// merged metric snapshots through it.
+  static std::uint64_t quantile_of(std::span<const std::uint64_t, kBuckets> buckets,
+                                   std::uint64_t count, std::uint64_t min_ps,
+                                   std::uint64_t max_ps, double q) {
+    if (count == 0) return 0;
+    const double target = q * static_cast<double>(count);
     double cum = 0.0;
     for (std::size_t i = 0; i < kBuckets; ++i) {
-      if (buckets_[i] == 0) continue;
+      if (buckets[i] == 0) continue;
       const double prev = cum;
-      cum += static_cast<double>(buckets_[i]);
+      cum += static_cast<double>(buckets[i]);
       if (cum < target) continue;
       const double lo = bucket_lo_ns(i);
       const double hi = bucket_hi_ns(i);
-      double frac = (target - prev) / static_cast<double>(buckets_[i]);
+      double frac = (target - prev) / static_cast<double>(buckets[i]);
       if (frac < 0.0) frac = 0.0;
       if (frac > 1.0) frac = 1.0;
       const auto ps = static_cast<std::uint64_t>((lo + (hi - lo) * frac) * 1000.0 + 0.5);
       // The true quantile always lies inside the observed range; clamping
       // makes degenerate (single-value) distributions exact.
-      return ps < min_ps_ ? min_ps_ : (ps > max_ps_ ? max_ps_ : ps);
+      return ps < min_ps ? min_ps : (ps > max_ps ? max_ps : ps);
     }
-    return max_ps_;
+    return max_ps;
   }
 
   /// Sub-bucket index: major = floor(log2(ns)), then 32 equal slices of
@@ -173,7 +184,7 @@ class MetricRegistry {
   void gauge(std::string name, std::function<long long()> fn);
   /// Register a quantile sketch; flattened into `.count`, `.sum_ps`,
   /// `.min_ps`, `.max_ps` and nonzero `.s<i>` sub-bucket entries in
-  /// snapshots (bench/report.hpp derives p50/p99 from them).
+  /// snapshots (bench/report.hpp merges them and derives p50/p99).
   void sketch(std::string name, const QuantileSketch& s);
 
   /// Drop every instrument whose name starts with `prefix` — used when a

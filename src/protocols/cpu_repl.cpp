@@ -76,7 +76,7 @@ void CpuRepl::install_server(services::StorageNode& node) {
 }
 
 void CpuRepl::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                    Bytes data, DoneCb cb) {
+                    Bytes data, OpCb cb) {
   (void)cap;  // validation cost is charged server-side; content checked there
   const std::uint64_t greq = client.next_greq();
   const std::uint64_t token = next_token_++;

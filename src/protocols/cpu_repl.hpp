@@ -28,7 +28,7 @@ class CpuRepl final : public WriteProtocol {
     return strategy_ == dfs::ReplStrategy::kRing ? "CPU-Ring" : "CPU-PBT";
   }
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override;
+             OpCb cb) override;
 
   std::size_t chunk_bytes() const { return chunk_bytes_; }
 

@@ -8,7 +8,7 @@ HyperLoop::HyperLoop(Cluster& cluster, std::size_t chunk_bytes)
     : cluster_(cluster), chunk_bytes_(chunk_bytes) {}
 
 void HyperLoop::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                      Bytes data, DoneCb cb) {
+                      Bytes data, OpCb cb) {
   (void)cap;  // HyperLoop trusts clients (paper §V-B)
   const std::uint64_t greq = client.next_greq();
   const std::uint64_t token = next_token_++;
@@ -63,8 +63,8 @@ void HyperLoop::write(Client& client, const FileLayout& layout, const auth::Capa
   auto tracker = &client.tracker();
   tracker->expect(meta_ack, 1,
                   [this, &client, layout, data = std::move(data), greq, token, chunk,
-                   chunk_count](bool ok, TimePs) mutable {
-                    if (!ok) return;
+                   chunk_count](dfs::DfsError err, TimePs) mutable {
+                    if (err != dfs::DfsError::kOk) return;
                     // Phase 2 — data broadcast, chunk-pipelined.
                     const auto& primary = layout.targets.front();
                     std::size_t off = 0;

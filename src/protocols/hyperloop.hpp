@@ -26,7 +26,7 @@ class HyperLoop final : public WriteProtocol {
   HyperLoop(Cluster& cluster, std::size_t chunk_bytes);
   const char* name() const override { return "RDMA-HyperLoop"; }
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override;
+             OpCb cb) override;
 
   std::size_t chunk_bytes() const { return chunk_bytes_; }
   /// Bytes of WQE metadata per chunk the config broadcast carries.

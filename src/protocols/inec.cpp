@@ -90,7 +90,7 @@ void InecTriEc::install_server(services::StorageNode& node) {
 }
 
 void InecTriEc::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                      Bytes data, DoneCb cb) {
+                      Bytes data, OpCb cb) {
   (void)cap;  // INEC/TriEC enforce no request validation
   const std::uint64_t greq = client.next_greq();
   const std::uint64_t token = next_token_++;
@@ -121,23 +121,10 @@ void InecTriEc::write(Client& client, const FileLayout& layout, const auth::Capa
     registries_.at(layout.parity[p].node)->parity_ops[token] = op;
   }
 
-  // Completion: every parity node acked AND every data chunk transport-acked.
-  struct Latch {
-    unsigned remaining;
-    TimePs last = 0;
-    DoneCb cb;
-    bool failed = false;
-  };
-  // k transport acks (one per data chunk) + one tracker completion
-  // (fires after all m parity acks).
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = k + 1;
-  latch->cb = std::move(cb);
-  auto arrive = [latch](bool ok, TimePs at) {
-    latch->last = std::max(latch->last, at);
-    latch->failed |= !ok;
-    if (--latch->remaining == 0) latch->cb(!latch->failed, latch->last);
-  };
+  // Completion: every parity node acked AND every data chunk transport-acked
+  // — k transport acks (one per data chunk) + one tracker completion (fires
+  // after all m parity acks).
+  const OpCb arrive = services::join(k + 1, cluster_.sim().now(), std::move(cb));
   client.tracker().expect(greq, m, arrive);
 
   for (unsigned d = 0; d < k; ++d) {
@@ -145,7 +132,7 @@ void InecTriEc::write(Client& client, const FileLayout& layout, const auth::Capa
                 data.begin() + static_cast<std::ptrdiff_t>((d + 1) * chunk_len));
     client.node().nic().post_write(layout.targets[d].node, layout.targets[d].addr, 0,
                                    std::move(chunk),
-                                   [arrive](TimePs at) { arrive(true, at); },
+                                   [arrive](TimePs at) { arrive(dfs::DfsError::kOk, at); },
                                    (token << 16) | d);
   }
 }

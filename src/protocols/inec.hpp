@@ -40,7 +40,7 @@ class InecTriEc final : public WriteProtocol {
   explicit InecTriEc(Cluster& cluster, InecConfig config = {});
   const char* name() const override { return "INEC-TriEC"; }
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override;
+             OpCb cb) override;
 
  private:
   struct DataNodeOp {

@@ -19,7 +19,7 @@ class RawWrite final : public WriteProtocol {
   explicit RawWrite(Cluster& cluster);
   const char* name() const override { return "Raw"; }
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override;
+             OpCb cb) override;
 
  protected:
   /// rkey registered over each storage node's whole target (clients learn
@@ -37,7 +37,7 @@ class RdmaFlat final : public WriteProtocol {
   const char* name() const override { return "RDMA-Flat"; }
   /// Issues one write per replica; completes when every transport ack is in.
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override;
+             OpCb cb) override;
 
  private:
   Cluster& cluster_;

@@ -31,6 +31,22 @@ bool validate(const auth::CapabilityAuthority& authority, const dfs::ParsedReque
                           req.wrh.total_len);
 }
 
+/// Park `cb` under the request's `tag` and route `client`'s replies through
+/// `pending`: each reply completes the write whose tag it echoes, once.
+void await_reply(Client& client, const std::shared_ptr<RpcPending>& pending, std::uint64_t tag,
+                 OpCb cb) {
+  pending->emplace(tag, std::move(cb));
+  client.node().nic().set_recv_handler(
+      [pending](net::NodeId, std::uint64_t reply_tag, Bytes msg, TimePs at) {
+        const auto it = pending->find(reply_tag);
+        if (it == pending->end()) return;
+        const OpCb done = std::move(it->second);
+        pending->erase(it);
+        done(!msg.empty() && msg[0] == kStatusOk ? dfs::DfsError::kOk : dfs::DfsError::kDenied,
+             at);
+      });
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------ RPC
@@ -69,7 +85,7 @@ RpcWrite::RpcWrite(Cluster& cluster) : cluster_(cluster) {
 }
 
 void RpcWrite::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                     Bytes data, DoneCb cb) {
+                     Bytes data, OpCb cb) {
   dfs::DfsHeader hdr;
   hdr.op = dfs::OpType::kWrite;
   hdr.greq_id = client.next_greq();
@@ -79,12 +95,7 @@ void RpcWrite::write(Client& client, const FileLayout& layout, const auth::Capab
   wrh.dest_addr = layout.targets.front().addr;
   wrh.total_len = data.size();
 
-  // Route the response through the client NIC's recv handler.
-  auto cb_holder = std::make_shared<DoneCb>(std::move(cb));
-  client.node().nic().set_recv_handler(
-      [cb_holder](net::NodeId, std::uint64_t, Bytes msg, TimePs at) {
-        (*cb_holder)(!msg.empty() && msg[0] == kStatusOk, at);
-      });
+  await_reply(client, pending_, hdr.greq_id, std::move(cb));
   client.node().nic().post_send(layout.targets.front().node, hdr.greq_id,
                                 encode_request(hdr, wrh, data));
 }
@@ -133,9 +144,11 @@ RpcRdmaWrite::RpcRdmaWrite(Cluster& cluster) : cluster_(cluster) {
 }
 
 void RpcRdmaWrite::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                         Bytes data, DoneCb cb) {
+                         Bytes data, OpCb cb) {
   // Stage the data in client RAM and expose it over RDMA.
-  const std::uint64_t staging = 0x10000000ull;  // fixed staging window
+  if (pending_->empty()) next_staging_ = kStagingBase;
+  const std::uint64_t staging = next_staging_;
+  next_staging_ += data.size();
   client.node().ram().write(staging, data);
   const std::uint32_t rkey = client.node().nic().register_mr(staging, data.size());
 
@@ -156,11 +169,7 @@ void RpcRdmaWrite::write(Client& client, const FileLayout& layout, const auth::C
   w.put(rkey);
   w.put(static_cast<std::uint32_t>(data.size()));
 
-  auto cb_holder = std::make_shared<DoneCb>(std::move(cb));
-  client.node().nic().set_recv_handler(
-      [cb_holder](net::NodeId, std::uint64_t, Bytes msg, TimePs at) {
-        (*cb_holder)(!msg.empty() && msg[0] == kStatusOk, at);
-      });
+  await_reply(client, pending_, hdr.greq_id, std::move(cb));
   client.node().nic().post_send(layout.targets.front().node, hdr.greq_id, std::move(req));
 }
 

@@ -8,13 +8,6 @@
 namespace nadfs::services {
 
 namespace {
-/// Collapse a typed completion to the legacy bool contract.
-OpCb wrap_done(DoneCb cb) {
-  return [cb = std::move(cb)](dfs::DfsError err, TimePs at) {
-    cb(err == dfs::DfsError::kOk, at);
-  };
-}
-
 bool transient_error(dfs::DfsError err) {
   switch (err) {
     case dfs::DfsError::kDenied:     // request-table denial classics retry
@@ -28,6 +21,25 @@ bool transient_error(dfs::DfsError err) {
   }
 }
 }  // namespace
+
+OpCb join(std::size_t n, TimePs now, OpCb cb) {
+  if (n == 0) {
+    cb(dfs::DfsError::kOk, now);
+    return {};
+  }
+  struct State {
+    std::size_t remaining;
+    dfs::DfsError err;
+    TimePs last;
+    OpCb cb;
+  };
+  auto state = std::make_shared<State>(State{n, dfs::DfsError::kOk, now, std::move(cb)});
+  return [state](dfs::DfsError err, TimePs at) {
+    if (state->err == dfs::DfsError::kOk) state->err = err;
+    state->last = std::max(state->last, at);
+    if (--state->remaining == 0) state->cb(state->err, state->last);
+  };
+}
 
 void AckTracker::install(rdma::Nic& nic) {
   nic.set_control_handler([this](const net::Packet& pkt, TimePs at) {
@@ -67,17 +79,9 @@ void AckTracker::expect(std::uint64_t tag, unsigned acks_needed, OpCb cb) {
   ops_.emplace(tag, Op{acks_needed, 0, std::move(cb)});
 }
 
-void AckTracker::expect(std::uint64_t tag, unsigned acks_needed, DoneCb cb) {
-  expect(tag, acks_needed, wrap_done(std::move(cb)));
-}
-
 void AckTracker::replace(std::uint64_t tag, unsigned acks_needed, OpCb cb) {
   if (ops_.erase(tag) != 0) ++replaced_ops_;
   ops_.emplace(tag, Op{acks_needed, 0, std::move(cb)});
-}
-
-void AckTracker::replace(std::uint64_t tag, unsigned acks_needed, DoneCb cb) {
-  replace(tag, acks_needed, wrap_done(std::move(cb)));
 }
 
 void AckTracker::cancel(std::uint64_t tag) { ops_.erase(tag); }
@@ -141,16 +145,6 @@ void Client::write(const FileLayout& layout, const auth::Capability& cap, Bytes 
   write_at(layout, cap, 0, std::move(data), std::move(cb));
 }
 
-void Client::write(const FileLayout& layout, const auth::Capability& cap, Bytes data,
-                   DoneCb cb) {
-  write_at(layout, cap, 0, std::move(data), wrap_done(std::move(cb)));
-}
-
-void Client::write_at(const FileLayout& layout, const auth::Capability& cap,
-                      std::uint64_t offset, Bytes data, DoneCb cb) {
-  write_at(layout, cap, offset, std::move(data), wrap_done(std::move(cb)));
-}
-
 void Client::write_at(const FileLayout& layout, const auth::Capability& cap,
                       std::uint64_t offset, Bytes data, OpCb cb) {
   if (offset + data.size() > layout.size) {
@@ -171,15 +165,6 @@ void Client::striped_write(const FileLayout& layout, const auth::Capability& cap
   // RAID-0 style: each overlapped stripe unit becomes one plain DFS write
   // against its stripe's extent; the op completes when every unit acked,
   // failing with the first unit error seen.
-  struct Latch {
-    unsigned remaining = 0;
-    dfs::DfsError err = dfs::DfsError::kOk;
-    TimePs last = 0;
-    OpCb cb;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->cb = std::move(cb);
-
   const std::uint64_t ss = layout.policy.stripe_size;
   std::vector<std::tuple<dfs::Coord, Bytes>> units;
   std::uint64_t pos = offset;
@@ -196,29 +181,12 @@ void Client::striped_write(const FileLayout& layout, const auth::Capability& cap
     pos += n;
     consumed += n;
   }
-  latch->remaining = static_cast<unsigned>(units.size());
-  for (auto& [target, bytes] : units) {
-    write_extent(target, cap, std::move(bytes), OpCb([latch](dfs::DfsError err, TimePs at) {
-                   if (latch->err == dfs::DfsError::kOk) latch->err = err;
-                   latch->last = std::max(latch->last, at);
-                   if (--latch->remaining == 0) latch->cb(latch->err, latch->last);
-                 }));
-  }
+  const OpCb done = join(units.size(), cluster_.sim().now(), std::move(cb));
+  for (auto& [target, bytes] : units) write_extent(target, cap, std::move(bytes), done);
 }
 
 void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
                           std::uint64_t offset, std::uint32_t len, ReadCb cb) {
-  struct Gather {
-    Bytes data;
-    unsigned remaining = 0;
-    dfs::DfsError err = dfs::DfsError::kOk;
-    TimePs last = 0;
-    ReadCb cb;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->data.assign(len, 0);
-  gather->cb = std::move(cb);
-
   const std::uint64_t ss = layout.policy.stripe_size;
   struct Unit {
     dfs::Coord target;
@@ -239,22 +207,18 @@ void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
     pos += n;
     consumed += n;
   }
-  gather->remaining = static_cast<unsigned>(units.size());
+  auto data = std::make_shared<Bytes>(len, 0);
+  const OpCb done = join(units.size(), cluster_.sim().now(),
+                         [data, cb = std::move(cb)](dfs::DfsError err, TimePs at) {
+                           cb(err, err == dfs::DfsError::kOk ? std::move(*data) : Bytes{}, at);
+                         });
   for (const auto& unit : units) {
     read_extent(unit.target, cap, unit.n,
-                ReadCb([gather, out_off = unit.out_off](dfs::DfsError err, Bytes part,
-                                                        TimePs at) {
-                  if (gather->err == dfs::DfsError::kOk) gather->err = err;
+                [data, done, out_off = unit.out_off](dfs::DfsError err, Bytes part, TimePs at) {
                   std::copy(part.begin(), part.end(),
-                            gather->data.begin() + static_cast<std::ptrdiff_t>(out_off));
-                  gather->last = std::max(gather->last, at);
-                  if (--gather->remaining == 0) {
-                    gather->cb(gather->err,
-                               gather->err == dfs::DfsError::kOk ? std::move(gather->data)
-                                                                 : Bytes{},
-                               gather->last);
-                  }
-                }));
+                            data->begin() + static_cast<std::ptrdiff_t>(out_off));
+                  done(err, at);
+                });
   }
 }
 
@@ -415,28 +379,11 @@ void Client::read(const FileLayout& layout, const auth::Capability& cap, std::ui
   read_at(layout, cap, 0, len, std::move(cb));
 }
 
-void Client::read(const FileLayout& layout, const auth::Capability& cap, std::uint32_t len,
-                  std::function<void(Bytes, TimePs)> cb) {
-  read_at(layout, cap, 0, len, std::move(cb));
-}
-
-void Client::read_at(const FileLayout& layout, const auth::Capability& cap,
-                     std::uint64_t offset, std::uint32_t len,
-                     std::function<void(Bytes, TimePs)> cb) {
-  if (len == 0) {
-    // The legacy contract signals failure with an empty buffer; zero-length
-    // reads would make it ambiguous. The typed overload reports kBadArg.
-    throw std::invalid_argument("Client::read: zero-length read");
-  }
-  read_at(layout, cap, offset, len,
-          ReadCb([cb = std::move(cb)](dfs::DfsError, Bytes data, TimePs at) mutable {
-            cb(std::move(data), at);
-          }));
-}
-
 void Client::read_at(const FileLayout& layout, const auth::Capability& cap,
                      std::uint64_t offset, std::uint32_t len, ReadCb cb) {
-  if (layout.striped()) {
+  // A zero-length read takes the plain path on every layout: start_read
+  // answers it kBadArg inline.
+  if (layout.striped() && len != 0) {
     striped_read(layout, cap, offset, len, std::move(cb));
     return;
   }
@@ -448,18 +395,6 @@ void Client::read_at(const FileLayout& layout, const auth::Capability& cap,
 void Client::read_extent(const dfs::Coord& coord, const auth::Capability& cap,
                          std::uint32_t len, ReadCb cb) {
   start_read(coord, cap, len, std::move(cb), max_retries_);
-}
-
-void Client::read_extent(const dfs::Coord& coord, const auth::Capability& cap,
-                         std::uint32_t len, std::function<void(Bytes, TimePs)> cb) {
-  if (len == 0) {
-    throw std::invalid_argument("Client::read_extent: zero-length read");
-  }
-  start_read(coord, cap, len,
-             ReadCb([cb = std::move(cb)](dfs::DfsError, Bytes data, TimePs at) mutable {
-               cb(std::move(data), at);
-             }),
-             max_retries_);
 }
 
 void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
@@ -538,11 +473,6 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
 void Client::write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
                           OpCb cb) {
   start_extent_write(coord, cap, std::move(data), std::move(cb), max_retries_);
-}
-
-void Client::write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
-                          DoneCb cb) {
-  start_extent_write(coord, cap, std::move(data), wrap_done(std::move(cb)), max_retries_);
 }
 
 void Client::start_extent_write(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
@@ -659,26 +589,13 @@ void Client::remove(const std::string& name, const auth::Capability& cap, OpCb c
   std::vector<dfs::Coord> extents = layout->targets;
   extents.insert(extents.end(), layout->parity.begin(), layout->parity.end());
 
-  struct Latch {
-    unsigned remaining = 0;
-    dfs::DfsError err = dfs::DfsError::kOk;
-    TimePs last = 0;
-    OpCb cb;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->cb = std::move(cb);
-  latch->remaining = static_cast<unsigned>(extents.size());
-  for (const auto& coord : extents) {
-    trim_extent(coord, cap, span, OpCb([this, latch, name](dfs::DfsError err, TimePs at) {
-                  if (latch->err == dfs::DfsError::kOk) latch->err = err;
-                  latch->last = std::max(latch->last, at);
-                  if (--latch->remaining != 0) return;
-                  if (latch->err == dfs::DfsError::kOk) {
-                    cluster_.metadata().remove(name);
-                  }
-                  latch->cb(latch->err, latch->last);
-                }));
-  }
+  const OpCb done =
+      join(extents.size(), cluster_.sim().now(),
+           [this, name, cb = std::move(cb)](dfs::DfsError err, TimePs at) {
+             if (err == dfs::DfsError::kOk) cluster_.metadata().remove(name);
+             cb(err, at);
+           });
+  for (const auto& coord : extents) trim_extent(coord, cap, span, done);
 }
 
 std::vector<net::Packet> interleave(std::vector<std::vector<net::Packet>> trains) {

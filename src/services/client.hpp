@@ -20,13 +20,17 @@
 
 namespace nadfs::services {
 
-using DoneCb = std::function<void(bool ok, TimePs at)>;
-/// Typed completion: kOk on success, the NACK's wire error or kTimeout on
-/// failure. DfsError is a scoped enum (no bool conversion), so DoneCb and
-/// OpCb overloads resolve unambiguously for lambdas.
+/// The one completion contract of every DFS op and write protocol: kOk on
+/// success, the NACK's wire error or kTimeout on failure.
 using OpCb = std::function<void(dfs::DfsError err, TimePs at)>;
 /// Typed read completion: data is meaningful only when err == kOk.
 using ReadCb = std::function<void(dfs::DfsError err, Bytes data, TimePs at)>;
+
+/// Fan-in of `n` sub-operations into one completion: call the returned
+/// OpCb once per sub-operation. The n-th call fires `cb` once, with the
+/// first non-kOk error seen (else kOk) and the latest arrival time. With
+/// n == 0, `cb` fires at once with (kOk, now).
+OpCb join(std::size_t n, TimePs now, OpCb cb);
 
 /// Counts DFS-level acks per request tag; a NACK fails the request with the
 /// typed error it carries (wire.hpp DfsError in the control packet's raddr).
@@ -40,12 +44,10 @@ class AckTracker {
   /// orphaned — exactly the hazard once timeout-retries re-arm tags. Use
   /// replace() when superseding is intended.
   void expect(std::uint64_t tag, unsigned acks_needed, OpCb cb);
-  void expect(std::uint64_t tag, unsigned acks_needed, DoneCb cb);
 
   /// Like expect(), but an existing pending op for `tag` is dropped (its
   /// callback never fires) and counted in replaced_ops().
   void replace(std::uint64_t tag, unsigned acks_needed, OpCb cb);
-  void replace(std::uint64_t tag, unsigned acks_needed, DoneCb cb);
 
   bool pending(std::uint64_t tag) const { return ops_.count(tag) != 0; }
   std::size_t pending_count() const { return ops_.size(); }
@@ -105,37 +107,27 @@ class Client {
   void debug_set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
 
   /// One-sided DFS write of `data` at object offset 0, policies per the
-  /// layout (plain, replicated, or erasure-coded). The typed overload's cb
-  /// fires with kOk when every expected DFS ack arrived, or with the NACK's
-  /// wire error / kTimeout after retries are exhausted; the DoneCb overload
-  /// collapses that to ok = (err == kOk).
+  /// layout (plain, replicated, or erasure-coded). cb fires with kOk when
+  /// every expected DFS ack arrived, or with the NACK's wire error /
+  /// kTimeout after retries are exhausted.
   void write(const FileLayout& layout, const auth::Capability& cap, Bytes data, OpCb cb);
-  void write(const FileLayout& layout, const auth::Capability& cap, Bytes data, DoneCb cb);
 
   /// Write at a byte offset within the object (plain and replicated
   /// layouts; EC objects are whole-object writes since parity spans all
   /// chunks).
   void write_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
                 Bytes data, OpCb cb);
-  void write_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
-                Bytes data, DoneCb cb);
 
   /// One-sided DFS read of `len` bytes at object offset 0 from the primary
-  /// target; the remote completion handler streams the data back. The typed
-  /// overload reports failures as kTimeout (retries exhausted), kBadArg
-  /// (zero-length read) or the NACK's error (e.g. kNotFound for a trimmed
-  /// extent); the legacy overload collapses every failure to an empty
-  /// buffer, which stays unambiguous because zero-length reads never reach
-  /// the wire.
+  /// target; the remote completion handler streams the data back. Failures
+  /// are kTimeout (retries exhausted), kBadArg (zero-length read, answered
+  /// inline without wire traffic on every layout) or the NACK's error (e.g.
+  /// kNotFound for a trimmed extent).
   void read(const FileLayout& layout, const auth::Capability& cap, std::uint32_t len, ReadCb cb);
-  void read(const FileLayout& layout, const auth::Capability& cap, std::uint32_t len,
-            std::function<void(Bytes, TimePs)> cb);
 
   /// Read at a byte offset within the object.
   void read_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
                std::uint32_t len, ReadCb cb);
-  void read_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
-               std::uint32_t len, std::function<void(Bytes, TimePs)> cb);
 
   // ---- name-based operations (control plane + data plane) ----------------
   /// Create `name` in the metadata service: kExists on collision, kBadArg
@@ -165,12 +157,8 @@ class Client {
   /// Read [coord.addr, +len) from a specific storage node.
   void read_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
                    ReadCb cb);
-  void read_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
-                   std::function<void(Bytes, TimePs)> cb);
   /// Plain (no-resiliency) DFS write of `data` at a specific coordinate.
   void write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data, OpCb cb);
-  void write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
-                    DoneCb cb);
 
   /// Tombstone [coord.addr, +len) on a storage node (delete data plane):
   /// the sPIN CH trims, fences, and acks; later reads of the extent fail

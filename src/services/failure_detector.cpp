@@ -65,14 +65,16 @@ void FailureDetector::tick() {
 void FailureDetector::probe(std::size_t i) {
   nodes_[i].outstanding = true;
   ++probes_sent_;
-  prober_.read_extent(dfs::Coord{nodes_[i].id, 0}, probe_cap_, 1, [this, i](Bytes data,
-                                                                            TimePs at) {
+  const dfs::Coord target{nodes_[i].id, 0};
+  prober_.read_extent(target, probe_cap_, 1, [this, i](dfs::DfsError err, Bytes, TimePs at) {
     NodeState& ns = nodes_[i];
     ns.outstanding = false;
-    if (!data.empty()) {
-      // Heartbeat answered. A suspected node is rehabilitated; a
-      // partition-held node additionally gets its placement hold lifted
-      // (this is the heal path after a fabric cut). A failed node walks
+    if (err != dfs::DfsError::kTimeout) {
+      // Heartbeat answered: data or a NACK alike proves the node reachable
+      // (a NACK only says its extent at address 0 was trimmed or the read
+      // was denied). A suspected node is rehabilitated; a partition-held
+      // node additionally gets its placement hold lifted (this is the heal
+      // path after a fabric cut). A failed node walks
       // the rejoin path: only rejoin_probes *consecutive* answers lift the
       // failure verdict, so a restart behind a still-open partition stays
       // failed until its heartbeats actually get through.

@@ -5,10 +5,12 @@
 // that monitor, built on the normal data path instead of an oracle: it
 // probes every storage node with a tiny DFS read (a heartbeat that
 // exercises NIC, switch, sPIN handler, and storage target), counts missed
-// deadlines, and walks each node alive -> suspected -> failed. A failed
-// node is excluded from metadata placement and reported through
-// set_on_failure / auto_rebuild, which feeds RecoveryManager::rebuild the
-// detector's own failed set — no hand-constructed failure views.
+// deadlines, and walks each node alive -> suspected -> failed. Only a
+// deadline is a miss: a NACKed probe is an answer, so a node whose extent
+// at address 0 was deleted stays alive. A failed node is excluded from
+// metadata placement and reported through set_on_failure / auto_rebuild,
+// which feeds RecoveryManager::rebuild the detector's own failed set — no
+// hand-constructed failure views.
 //
 // Everything runs on simulated time through one seedless mechanism
 // (sim::Periodic + the prober Client's deadline events), so detection

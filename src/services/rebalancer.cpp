@@ -23,7 +23,7 @@ void Rebalancer::stop() { ticker_.stop(); }
 
 void Rebalancer::tick() { pump(cfg_.bytes_per_tick); }
 
-void Rebalancer::drain_node(net::NodeId node, DrainCb cb) {
+void Rebalancer::drain_node(net::NodeId node, OpCb cb) {
   cluster_.metadata().drain(node);
   if (detector_) detector_->set_draining(node, true);
   drains_.emplace_back(node, std::move(cb));
@@ -118,7 +118,7 @@ void Rebalancer::pump(std::uint64_t budget) {
     cluster_.metadata().remove_node(node);
     if (detector_) detector_->retire(node);
     ++drains_completed_;
-    if (cb) cb(true, cluster_.sim().now());
+    if (cb) cb(dfs::DfsError::kOk, cluster_.sim().now());
   }
   auto cand = pick_candidate();
   if (!cand) return;

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -72,10 +71,9 @@ class Rebalancer {
   /// it (MetadataService::drain), then the periodic tick migrates every
   /// extent it hosts off under the bandwidth budget. When the node is
   /// empty it is removed from the placement view (remove_node) and retired
-  /// from the detector, then `cb(true)` fires. Requires start().
+  /// from the detector, then `cb(kOk)` fires. Requires start().
   /// Multiple drains queue FIFO.
-  using DrainCb = std::function<void(bool ok, TimePs at)>;
-  void drain_node(net::NodeId node, DrainCb cb);
+  void drain_node(net::NodeId node, OpCb cb);
 
   /// Current hosted-bytes spread over eligible (placeable) nodes; 0 when
   /// fewer than two are eligible.
@@ -115,7 +113,7 @@ class Rebalancer {
   FailureDetector* detector_ = nullptr;
   sim::Periodic ticker_;
   bool move_active_ = false;  ///< a migration chain is in flight
-  std::deque<std::pair<net::NodeId, DrainCb>> drains_;
+  std::deque<std::pair<net::NodeId, OpCb>> drains_;
   std::uint64_t moves_ = 0;
   std::uint64_t moved_bytes_ = 0;
   std::uint64_t moves_aborted_ = 0;

@@ -64,9 +64,7 @@ void RecoveryManager::issue_chunk_read(const std::shared_ptr<ChunkGather>& gathe
           // (after the monitoring view was snapshotted), kNotFound for a
           // chunk trimmed by a racing delete. Fall back to an untried
           // survivor, or report the object unrecoverable; either way the
-          // caller is answered, never left hanging. The old empty-buffer
-          // sentinel is gone — a legitimately all-zero chunk no longer
-          // looks like a failed read.
+          // caller is answered, never left hanging.
           if (gather->untried.empty()) {
             gather->done = true;
             gather->cb(std::nullopt, gather->last);
@@ -180,12 +178,6 @@ void RecoveryManager::rebuild_now(const std::string& name, const std::set<net::N
         // Re-home every chunk that lived on a failed node.
         FileLayout repaired = layout;
         std::vector<net::NodeId> avoid(failed.begin(), failed.end());
-        struct Progress {
-          unsigned pending = 0;
-          TimePs last = 0;
-          bool ok = true;
-        };
-        auto progress = std::make_shared<Progress>();
         std::vector<std::pair<dfs::Coord, const Bytes*>> writes;
 
         for (unsigned i = 0; i < k + m; ++i) {
@@ -203,39 +195,25 @@ void RecoveryManager::rebuild_now(const std::string& name, const std::set<net::N
           writes.emplace_back(coord, i < k ? &(*data)[i] : &parity[i - k]);
         }
 
-        if (writes.empty()) {
-          if (cluster_.metadata().update_layout(name, repaired) != dfs::DfsError::kOk) {
-            cb(std::nullopt, at);  // deleted while we were collecting chunks
-            return;
-          }
-          cb(std::move(repaired), at);
-          return;
-        }
-        progress->pending = static_cast<unsigned>(writes.size());
-        progress->last = at;
-        auto repaired_ptr = std::make_shared<FileLayout>(std::move(repaired));
+        // Publish once every re-homed chunk is durable (at once when none
+        // was lost). A rebuild racing a delete must not resurrect the
+        // namespace entry: when the file vanished meanwhile, update_layout
+        // reports kNotFound and the rebuild fails.
+        const OpCb done = join(
+            writes.size(), at,
+            [this, repaired, name, cb](dfs::DfsError err, TimePs t) {
+              if (err == dfs::DfsError::kOk &&
+                  cluster_.metadata().update_layout(name, repaired) == dfs::DfsError::kOk) {
+                cb(repaired, t);
+              } else {
+                cb(std::nullopt, t);
+              }
+            });
         for (auto& [coord, bytes] : writes) {
           ++chunks_rebuilt_;
           const auto wcap =
               scoped_cap(layout.object_id, auth::Right::kWrite, coord, layout.chunk_len);
-          client_.write_extent(coord, wcap, *bytes,
-                               [this, progress, repaired_ptr, name, cb](bool ok, TimePs t) {
-                                 progress->ok &= ok;
-                                 progress->last = std::max(progress->last, t);
-                                 if (--progress->pending == 0) {
-                                   // A rebuild racing a delete must not
-                                   // resurrect the namespace entry: when the
-                                   // file vanished meanwhile, update_layout
-                                   // reports kNotFound and the rebuild fails.
-                                   if (progress->ok &&
-                                       cluster_.metadata().update_layout(name, *repaired_ptr) ==
-                                           dfs::DfsError::kOk) {
-                                     cb(*repaired_ptr, progress->last);
-                                   } else {
-                                     cb(std::nullopt, progress->last);
-                                   }
-                                 }
-                               });
+          client_.write_extent(coord, wcap, *bytes, done);
         }
       });
 }

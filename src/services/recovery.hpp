@@ -65,9 +65,9 @@ class RecoveryManager {
   void finish_rebuild(const std::string& name);
 
   /// Fetch any k surviving chunks; cb receives (chunk_index, bytes) pairs
-  /// or nullopt. Chunk reads that fail in flight (the client's deadline
-  /// expired: empty buffer) fall back to survivors beyond the first k; when
-  /// none remain the cb gets nullopt — it never hangs.
+  /// or nullopt. Chunk reads that fail in flight (kTimeout, kNotFound, ...)
+  /// fall back to survivors beyond the first k; when none remain the cb
+  /// gets nullopt — it never hangs.
   void collect_chunks(
       const FileLayout& layout, const std::set<net::NodeId>& failed,
       std::function<void(std::optional<std::vector<std::pair<unsigned, Bytes>>>, TimePs)> cb);

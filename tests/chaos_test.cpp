@@ -107,7 +107,7 @@ Bytes ec_plain_read(Cluster& cluster, Client& client, const services::FileLayout
         cluster.management().grant(client.client_id(), layout.object_id, auth::Right::kRead, 0,
                                    coord.addr, layout.chunk_len);
     client.read_extent(coord, cap, static_cast<std::uint32_t>(layout.chunk_len),
-                       [&parts, i](Bytes d, TimePs) { parts[i] = std::move(d); });
+                       [&parts, i](dfs::DfsError, Bytes d, TimePs) { parts[i] = std::move(d); });
   }
   cluster.sim().run();
   Bytes out;
@@ -131,9 +131,9 @@ TEST(ClientTimeout, DeadlineCancelsWriteAndStragglerAcksAreLate) {
   client.set_retry_policy(2, us(5));
 
   bool done = false, ok = true;
-  client.write(layout, cap, random_bytes(64 * KiB, 3), [&](bool o, TimePs) {
+  client.write(layout, cap, random_bytes(64 * KiB, 3), [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    ok = err == dfs::DfsError::kOk;
   });
   cluster.sim().run();
 
@@ -159,9 +159,9 @@ TEST(ClientTimeout, DenyAndTimeoutRetriesAreAttributedSeparately) {
   client.set_retry_policy(2, us(1));
 
   bool done = false, ok = true;
-  client.write(layout, ro, random_bytes(4096, 5), [&](bool o, TimePs) {
+  client.write(layout, ro, random_bytes(4096, 5), [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    ok = err == dfs::DfsError::kOk;
   });
   cluster.sim().run();
 
@@ -190,9 +190,9 @@ TEST(ClientTimeout, LinkFlapIsRiddenOutByTimeoutRetry) {
 
   const Bytes data = random_bytes(4096, 7);
   bool done = false, ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) {
+  client.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    ok = err == dfs::DfsError::kOk;
   });
   cluster.sim().run();
 
@@ -206,36 +206,34 @@ TEST(ClientTimeout, LinkFlapIsRiddenOutByTimeoutRetry) {
 
   // The write really landed: read it back.
   Bytes got;
-  client.read(layout, cap, 4096, [&](Bytes d, TimePs) { got = std::move(d); });
+  client.read(layout, cap, 4096, [&](dfs::DfsError, Bytes d, TimePs) { got = std::move(d); });
   cluster.sim().run();
   EXPECT_EQ(got, data);
   dump_if_failed(cluster, &client, nullptr);
 }
 
-TEST(ClientTimeout, ReadFromDeadNodeDrainsToEmptyBuffer) {
-  // Reads against a killed node exhaust their retries and complete with an
-  // unambiguous empty buffer (zero-length reads are rejected up front).
+TEST(ClientTimeout, ReadFromDeadNodeFailsTimeout) {
+  // Reads against a killed node exhaust their retries and fail kTimeout.
   Cluster cluster;
   Client client(cluster, 0);
   const auto& layout = cluster.metadata().create("obj", 4096, FilePolicy{});
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   bool wrote = false;
-  client.write(layout, cap, random_bytes(4096, 9), [&](bool o, TimePs) { wrote = o; });
+  client.write(layout, cap, random_bytes(4096, 9), [&](dfs::DfsError err, TimePs) {
+    wrote = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
-
-  EXPECT_THROW(client.read_extent(layout.targets[0], cap, 0, [](Bytes, TimePs) {}),
-               std::invalid_argument);
 
   cluster.network().faults().kill_node(layout.targets[0].node, cluster.sim().now());
   client.set_timeout(us(10));
   client.set_retry_policy(1, us(5));
-  std::optional<Bytes> got;
-  client.read(layout, cap, 4096, [&](Bytes d, TimePs) { got = std::move(d); });
+  std::optional<dfs::DfsError> err;
+  client.read(layout, cap, 4096, [&](dfs::DfsError e, Bytes, TimePs) { err = e; });
   cluster.sim().run();
 
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->empty());
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, dfs::DfsError::kTimeout);
   EXPECT_EQ(client.op_timeouts(), 2u);
   EXPECT_EQ(client.timeout_retries(), 1u);
   EXPECT_EQ(client.node().nic().pending_read_count(), 0u);
@@ -268,7 +266,9 @@ std::uint64_t run_kill_mid_write_scenario(std::uint64_t seed) {
 
   // v1 lands cleanly.
   bool v1_ok = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    v1_ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   EXPECT_TRUE(v1_ok);
   const TimePs t0 = cluster.sim().now();
@@ -289,9 +289,9 @@ std::uint64_t run_kill_mid_write_scenario(std::uint64_t seed) {
   writer.set_timeout(us(30));
   writer.set_retry_policy(2, us(10));
   bool v2_done = false, v2_ok = true;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) {
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
     v2_done = true;
-    v2_ok = ok;
+    v2_ok = err == dfs::DfsError::kOk;
   });
 
   // Detector-driven recovery: the failed set fed to degraded_read/rebuild
@@ -409,7 +409,9 @@ std::uint64_t run_kill_mid_compaction_scenario(std::uint64_t seed) {
   const Bytes data = random_bytes(size, 42);
 
   bool v1_ok = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    v1_ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   EXPECT_TRUE(v1_ok) << "seed " << seed;
   const TimePs t0 = cluster.sim().now();
@@ -437,9 +439,9 @@ std::uint64_t run_kill_mid_compaction_scenario(std::uint64_t seed) {
   writer.set_timeout(us(60));
   writer.set_retry_policy(2, us(10));
   bool v2_done = false, v2_ok = true;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) {
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
     v2_done = true;
-    v2_ok = ok;
+    v2_ok = err == dfs::DfsError::kOk;
   });
 
   // Probes share the device with flush/compaction backlogs on *healthy*
@@ -541,13 +543,15 @@ TEST(Chaos, RebuildDropsBelowKMidCollectAndReportsLossWithoutHanging) {
   const auto& layout = cluster.metadata().create("obj", size, policy);
   const auto cap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kWrite);
   bool wrote = false;
-  writer.write(layout, cap, random_bytes(size, 42), [&](bool ok, TimePs) { wrote = ok; });
+  writer.write(layout, cap, random_bytes(size, 42), [&](dfs::DfsError err, TimePs) {
+    wrote = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
   const TimePs t0 = cluster.sim().now();
 
   // Recovery reads get a real deadline; no retries, so a dead source maps
-  // straight to the empty-buffer fallback path.
+  // straight to the kTimeout fallback path.
   writer.set_timeout(us(50));
   writer.set_retry_policy(0, us(10));
 
@@ -610,9 +614,9 @@ std::uint64_t run_drop_storm(std::uint64_t seed) {
   client.set_retry_policy(5, us(20));
 
   bool done = false, ok = false;
-  client.write(layout, cap, random_bytes(200 * KiB, 11), [&](bool o, TimePs) {
+  client.write(layout, cap, random_bytes(200 * KiB, 11), [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    ok = err == dfs::DfsError::kOk;
   });
   cluster.sim().run();
 
@@ -656,9 +660,9 @@ std::uint64_t run_corruption_storm(std::uint64_t seed) {
   client.set_retry_policy(2, us(10));
 
   bool done = false, ok = false;
-  client.write(layout, cap, random_bytes(32 * KiB, 13), [&](bool o, TimePs) {
+  client.write(layout, cap, random_bytes(32 * KiB, 13), [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    ok = err == dfs::DfsError::kOk;
   });
   cluster.sim().run();
 
@@ -720,9 +724,9 @@ TEST(Chaos, WedgedAggregationStateIsReapedByStateGc) {
 
   writer.set_timeout(us(30));
   bool done = false, ok = true;
-  writer.write(layout, cap, random_bytes(size, 42), [&](bool o, TimePs) {
+  writer.write(layout, cap, random_bytes(size, 42), [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    ok = err == dfs::DfsError::kOk;
   });
   cluster.sim().run();
   EXPECT_TRUE(done);
@@ -768,7 +772,9 @@ TEST(Chaos, WedgedAggregationStateIsReapedByStateGc) {
   if (usable) {
     const auto cap2 = cluster.metadata().grant(writer.client_id(), layout2, auth::Right::kWrite);
     writer.set_timeout(0);
-    writer.write(layout2, cap2, random_bytes(size, 43), [&](bool o, TimePs) { retry_ok = o; });
+    writer.write(layout2, cap2, random_bytes(size, 43), [&](dfs::DfsError err, TimePs) {
+      retry_ok = err == dfs::DfsError::kOk;
+    });
     cluster.sim().run();
     EXPECT_TRUE(retry_ok);
   }
@@ -882,7 +888,9 @@ std::uint64_t run_delete_during_rebuild_scenario(std::uint64_t seed) {
   const auto rcap = cluster.metadata().grant(remover.client_id(), layout, auth::Right::kReadWrite);
 
   bool v1_ok = false;
-  writer.write(layout, wcap, random_bytes(size, 42), [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, wcap, random_bytes(size, 42), [&](dfs::DfsError err, TimePs) {
+    v1_ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   EXPECT_TRUE(v1_ok) << "seed " << seed;
   const TimePs t0 = cluster.sim().now();

@@ -48,7 +48,9 @@ RunResult run_spin_pbt_k4(std::size_t size, std::uint64_t seed) {
   const Bytes data = random_bytes(size, seed);
 
   RunResult r;
-  client.write(layout, cap, data, [&r](bool ok, TimePs) { r.ok = ok; });
+  client.write(layout, cap, data, [&r](dfs::DfsError err, TimePs) {
+    r.ok = err == dfs::DfsError::kOk;
+  });
   r.final_time = cluster.sim().run();
   r.executed_events = cluster.sim().executed_events();
   for (const auto& coord : layout.targets) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 
 #include "services/client.hpp"
 #include "services/host_dfs.hpp"
@@ -243,36 +245,53 @@ TEST(DfsOps, DeleteFreesTheNameForRecreate) {
 
 // ------------------------------------------------------- typed-error plane
 
-TEST(DfsOps, ZeroLengthReadIsTypedBadArgWithoutWireTraffic) {
-  Cluster cluster;
-  Client client(cluster, 0);
-  ASSERT_EQ(client.create("f", 4 * KiB, {}), DfsError::kOk);
-  const auto& layout = *cluster.metadata().lookup("f");
-  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kRead);
-
-  const auto events_before = cluster.sim().executed_events();
-  DfsError err = DfsError::kOk;
-  bool done = false;
-  client.read(layout, cap, 0, ReadCb([&](DfsError e, Bytes, TimePs) {
-                done = true;
-                err = e;
-              }));
-  EXPECT_TRUE(done);  // completes inline: nothing to wait for
-  EXPECT_EQ(err, DfsError::kBadArg);
-  cluster.sim().run();
-  EXPECT_EQ(cluster.sim().executed_events(), events_before);  // nothing hit the wire
+FilePolicy striped_policy() {
+  FilePolicy p;
+  p.stripe_count = 4;
+  return p;
 }
 
-TEST(DfsOps, ZeroLengthLegacyReadStillThrows) {
-  // The legacy (Bytes, TimePs) callback signals failure with an empty
-  // buffer; a zero-length read would make that ambiguous, so it keeps
-  // throwing. The typed overload reports kBadArg instead (test above).
+TEST(DfsOps, ZeroLengthReadIsTypedBadArgWithoutWireTraffic) {
+  for (const FilePolicy& policy : {FilePolicy{}, striped_policy()}) {
+    SCOPED_TRACE(policy.stripe_count);
+    Cluster cluster;
+    Client client(cluster, 0);
+    ASSERT_EQ(client.create("f", 64 * KiB, policy), DfsError::kOk);
+    const auto& layout = *cluster.metadata().lookup("f");
+    const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kRead);
+
+    const auto events_before = cluster.sim().executed_events();
+    std::optional<DfsError> err;
+    client.read_at(layout, cap, 8 * KiB, 0, [&](DfsError e, Bytes, TimePs) { err = e; });
+    ASSERT_TRUE(err.has_value());  // completes inline: nothing to wait for
+    EXPECT_EQ(*err, DfsError::kBadArg);
+    cluster.sim().run();
+    EXPECT_EQ(cluster.sim().executed_events(), events_before);  // nothing hit the wire
+  }
+}
+
+TEST(DfsOps, ZeroLengthStripedWriteCompletesOkAtOnce) {
+  // The write spans no stripe unit: it completes kOk inline, like a fan-in
+  // of zero sub-writes, instead of waiting for acks that never come.
   Cluster cluster;
   Client client(cluster, 0);
-  ASSERT_EQ(client.create("f", 4 * KiB, {}), DfsError::kOk);
+  ASSERT_EQ(client.create("f", 64 * KiB, striped_policy()), DfsError::kOk);
   const auto& layout = *cluster.metadata().lookup("f");
-  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kRead);
-  EXPECT_THROW(client.read(layout, cap, 0, [](Bytes, TimePs) {}), std::invalid_argument);
+  ASSERT_TRUE(layout.striped());
+  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
+
+  const auto events_before = cluster.sim().executed_events();
+  std::optional<DfsError> err;
+  TimePs at = std::numeric_limits<TimePs>::max();
+  client.write_at(layout, cap, 8 * KiB, Bytes{}, [&](DfsError e, TimePs t) {
+    err = e;
+    at = t;
+  });
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, DfsError::kOk);
+  EXPECT_EQ(at, cluster.sim().now());
+  cluster.sim().run();
+  EXPECT_EQ(cluster.sim().executed_events(), events_before);
 }
 
 TEST(DfsOps, DeniedWriteCarriesTypedDenied) {

@@ -89,7 +89,7 @@ Bytes ec_plain_read(Cluster& cluster, Client& client, const services::FileLayout
         cluster.management().grant(client.client_id(), layout.object_id, auth::Right::kRead, 0,
                                    coord.addr, layout.chunk_len);
     client.read_extent(coord, cap, static_cast<std::uint32_t>(layout.chunk_len),
-                       [&parts, i](Bytes d, TimePs) { parts[i] = std::move(d); });
+                       [&parts, i](dfs::DfsError, Bytes d, TimePs) { parts[i] = std::move(d); });
   }
   cluster.sim().run();
   Bytes out;
@@ -107,7 +107,7 @@ Bytes read_current(Cluster& cluster, Client& client, const std::string& name,
   if (layout == nullptr) return {};
   const auto cap = cluster.metadata().grant(client.client_id(), *layout, auth::Right::kRead);
   Bytes got;
-  client.read(*layout, cap, len, [&got](Bytes d, TimePs) { got = std::move(d); });
+  client.read(*layout, cap, len, [&got](dfs::DfsError, Bytes d, TimePs) { got = std::move(d); });
   cluster.sim().run();
   return got;
 }
@@ -155,7 +155,9 @@ std::uint64_t run_kill_restart_rejoin(std::uint64_t seed) {
   const Bytes data = random_bytes(size, 42);
 
   bool v1_ok = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    v1_ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   EXPECT_TRUE(v1_ok) << "seed " << seed;
   const TimePs t0 = cluster.sim().now();
@@ -190,8 +192,8 @@ std::uint64_t run_kill_restart_rejoin(std::uint64_t seed) {
     const TimePs at = t0 + us(5) + static_cast<TimePs>(i) * us(10);
     cluster.sim().schedule_at(at, [&, i] {
       Bytes content = random_bytes(4 * KiB, 500 + static_cast<std::uint64_t>(i));
-      writer.write(hot, hot_cap, std::move(content), [&, i](bool ok, TimePs) {
-        if (ok) {
+      writer.write(hot, hot_cap, std::move(content), [&, i](dfs::DfsError err, TimePs) {
+        if (err == dfs::DfsError::kOk) {
           ++hot_ok;
           hot_last = random_bytes(4 * KiB, 500 + static_cast<std::uint64_t>(i));
         } else {
@@ -204,8 +206,8 @@ std::uint64_t run_kill_restart_rejoin(std::uint64_t seed) {
   for (int i = 0; i < 3; ++i) {
     const TimePs at = t0 + us(60) + static_cast<TimePs>(i) * us(120) + jitter.next_below(us(5));
     cluster.sim().schedule_at(at, [&, i] {
-      writer.write(layout, cap, data, [&, i](bool ok, TimePs) {
-        obj_rewrite_outcomes |= (ok ? 1ull : 2ull) << (2 * i);
+      writer.write(layout, cap, data, [&, i](dfs::DfsError err, TimePs) {
+        obj_rewrite_outcomes |= (err == dfs::DfsError::kOk ? 1ull : 2ull) << (2 * i);
       });
     });
   }
@@ -407,7 +409,9 @@ TEST(Rejoin, OverlappingRebuildsAreSerializedNotDoubleAdopted) {
   const auto cap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kWrite);
   const Bytes data = random_bytes(size, 42);
   bool wrote = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { wrote = ok; });
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    wrote = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
 
@@ -477,7 +481,9 @@ std::uint64_t run_drain_during_writes(std::uint64_t seed) {
     caps.push_back(cluster.metadata().grant(writer.client_id(), l, auth::Right::kReadWrite));
     expected[i] = random_bytes(size, 1000 + static_cast<std::uint64_t>(i));
     bool ok = false;
-    writer.write(l, caps.back(), expected[i], [&ok](bool o, TimePs) { ok = o; });
+    writer.write(l, caps.back(), expected[i], [&ok](dfs::DfsError err, TimePs) {
+      ok = err == dfs::DfsError::kOk;
+    });
     cluster.sim().run();
     EXPECT_TRUE(ok) << "seed " << seed;
   }
@@ -502,8 +508,8 @@ std::uint64_t run_drain_during_writes(std::uint64_t seed) {
 
   bool drain_ok = false;
   TimePs drained_at = 0;
-  rebalancer.drain_node(victim, [&](bool ok, TimePs at) {
-    drain_ok = ok;
+  rebalancer.drain_node(victim, [&](dfs::DfsError err, TimePs at) {
+    drain_ok = err == dfs::DfsError::kOk;
     drained_at = at;
   });
 
@@ -525,8 +531,8 @@ std::uint64_t run_drain_during_writes(std::uint64_t seed) {
             random_bytes(size, 2000 + static_cast<std::uint64_t>(i) * 10 +
                                    static_cast<std::uint64_t>(round));
         writer.write(*cluster.metadata().lookup("d" + std::to_string(i)), caps[i],
-                     std::move(content), [&, i, round](bool ok, TimePs) {
-                       if (ok) {
+                     std::move(content), [&, i, round](dfs::DfsError err, TimePs) {
+                       if (err == dfs::DfsError::kOk) {
                          ++writes_ok;
                          expected[i] = random_bytes(
                              size, 2000 + static_cast<std::uint64_t>(i) * 10 +
@@ -751,7 +757,9 @@ std::uint64_t run_rebalance_convergence(std::uint64_t seed) {
     contents[i] = random_bytes(size, seed * 100 + static_cast<std::uint64_t>(i));
     const auto cap = meta.grant(writer.client_id(), l, auth::Right::kWrite);
     bool ok = false;
-    writer.write(l, cap, contents[i], [&ok](bool o, TimePs) { ok = o; });
+    writer.write(l, cap, contents[i], [&ok](dfs::DfsError err, TimePs) {
+      ok = err == dfs::DfsError::kOk;
+    });
     cluster.sim().run();
     EXPECT_TRUE(ok) << "seed " << seed;
   }
@@ -845,8 +853,8 @@ std::uint64_t run_rolling_restart(std::uint64_t seed) {
     const auto& l = cluster.metadata().create("golden" + std::to_string(i), golden_size, repl2);
     golden[i] = random_bytes(golden_size, 7000 + static_cast<std::uint64_t>(i));
     const auto cap = cluster.metadata().grant(golden_writer.client_id(), l, auth::Right::kWrite);
-    golden_writer.write(l, cap, golden[i], [&golden_written](bool o, TimePs) {
-      if (o) ++golden_written;
+    golden_writer.write(l, cap, golden[i], [&golden_written](dfs::DfsError err, TimePs) {
+      if (err == dfs::DfsError::kOk) ++golden_written;
     });
   }
   const TimePs t0 = 0;

@@ -65,8 +65,8 @@ TEST_P(PlainWriteEquivalence, DataLandsIdentically) {
   const Bytes data = random_bytes(size, size);
   bool ok = false;
   TimePs at = 0;
-  proto->write(client, layout, cap, data, [&](bool o, TimePs t) {
-    ok = o;
+  proto->write(client, layout, cap, data, [&](dfs::DfsError err, TimePs t) {
+    ok = err == dfs::DfsError::kOk;
     at = t;
   });
   cluster.sim().run();
@@ -140,7 +140,9 @@ TEST_P(ReplicationEquivalence, AllReplicasByteIdentical) {
 
   const Bytes data = random_bytes(size, size * 7 + k);
   bool ok = false;
-  proto->write(client, layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  proto->write(client, layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
 
   ASSERT_TRUE(ok) << proto->name();
@@ -240,7 +242,7 @@ TEST(TimingRegression, BackloggedClusterDoesNotStallFreshOne) {
   ec.ec_m = 2;
   const auto& big = cluster.metadata().create("big", 1 * MiB, ec);
   const auto big_cap = cluster.metadata().grant(heavy.client_id(), big, auth::Right::kWrite);
-  heavy.write(big, big_cap, random_bytes(1 * MiB, 1), [](bool, TimePs) {});
+  heavy.write(big, big_cap, random_bytes(1 * MiB, 1), [](dfs::DfsError, TimePs) {});
 
   services::FilePolicy repl;
   repl.resiliency = dfs::Resiliency::kReplication;
@@ -249,8 +251,8 @@ TEST(TimingRegression, BackloggedClusterDoesNotStallFreshOne) {
   const auto small_cap = cluster.metadata().grant(light.client_id(), small, auth::Right::kWrite);
   bool ok = false;
   TimePs at = 0;
-  light.write(small, small_cap, random_bytes(8 * KiB, 2), [&](bool o, TimePs t) {
-    ok = o;
+  light.write(small, small_cap, random_bytes(8 * KiB, 2), [&](dfs::DfsError err, TimePs t) {
+    ok = err == dfs::DfsError::kOk;
     at = t;
   });
   cluster.sim().run();

@@ -4,6 +4,8 @@
 // detector's own failed set into the recovery manager.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hpp"
 #include "services/failure_detector.hpp"
 
@@ -48,6 +50,46 @@ TEST(FailureDetector, HealthyClusterStaysAlive) {
   // Quiesce: every probe resolved, nothing leaked.
   EXPECT_EQ(prober.node().nic().pending_read_count(), 0u);
   EXPECT_EQ(prober.tracker().pending_count(), 0u);
+}
+
+TEST(FailureDetector, NackedHeartbeatIsAnAnswer) {
+  // Deleting a node's first file trims its extent at address 0, the extent
+  // every heartbeat reads: from then on the node NACKs each probe with
+  // kNotFound. A NACK proves the node reachable, so it stays alive.
+  ClusterConfig cfg;
+  cfg.storage_nodes = 4;
+  cfg.clients = 2;
+  Cluster cluster(cfg);
+  Client writer(cluster, 0);
+  Client prober(cluster, 1);
+  ASSERT_EQ(writer.create("f", 4 * KiB, FilePolicy{}), dfs::DfsError::kOk);
+  const auto layout = *cluster.metadata().lookup("f");
+  ASSERT_EQ(layout.targets.front().addr, 0u);
+  const auto cap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kReadWrite);
+  std::optional<dfs::DfsError> wrote;
+  std::optional<dfs::DfsError> removed;
+  writer.write(layout, cap, random_bytes(4 * KiB, 1), [&](dfs::DfsError err, TimePs) {
+    wrote = err;
+  });
+  cluster.sim().run();
+  writer.remove("f", cap, [&](dfs::DfsError err, TimePs) { removed = err; });
+  cluster.sim().run();
+  ASSERT_EQ(wrote, dfs::DfsError::kOk);
+  ASSERT_EQ(removed, dfs::DfsError::kOk);
+
+  FailureDetector detector(cluster, prober);
+  unsigned failures = 0;
+  detector.set_on_failure([&](net::NodeId, TimePs) { ++failures; });
+  detector.start();
+  cluster.sim().run_until(cluster.sim().now() + ms(1));
+  detector.stop();
+  cluster.sim().run();
+
+  EXPECT_EQ(detector.health(layout.targets.front().node), FailureDetector::Health::kAlive);
+  EXPECT_EQ(failures, 0u);
+  EXPECT_TRUE(detector.failed().empty());
+  EXPECT_EQ(detector.probes_missed(), 0u);
+  EXPECT_GT(detector.probes_sent(), 100u);
 }
 
 TEST(FailureDetector, KilledNodeWalksSuspectedThenFailed) {
@@ -119,7 +161,9 @@ TEST(FailureDetector, AutoRebuildRepairsEcObjectFromDetectorView) {
   const auto cap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kWrite);
   const Bytes data = random_bytes(size, 42);
   bool wrote = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { wrote = ok; });
+  writer.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    wrote = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
 

@@ -2,6 +2,8 @@
 // the control-plane services, and the client-side ack tracker.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "host/cpu.hpp"
 #include "services/client.hpp"
 #include "services/cluster.hpp"
@@ -217,12 +219,8 @@ TEST(Metadata, AllocationsDoNotOverlapOnANode) {
 
 TEST(AckTracker, CountsAcksToCompletion) {
   services::AckTracker tracker;
-  bool done = false;
-  bool ok = false;
-  tracker.expect(1, 3, [&](bool o, TimePs) {
-    done = true;
-    ok = o;
-  });
+  std::optional<dfs::DfsError> seen;
+  tracker.expect(1, 3, [&](dfs::DfsError err, TimePs) { seen = err; });
   // Feed acks directly through the handler path: install on a throwaway rig.
   sim::Simulator sim;
   net::Network net(sim);
@@ -236,12 +234,11 @@ TEST(AckTracker, CountsAcksToCompletion) {
   for (int i = 0; i < 2; ++i) {
     auto copy = ack;
     nic.on_packet(std::move(copy));
-    EXPECT_FALSE(done);
+    EXPECT_FALSE(seen.has_value());
   }
   auto last = ack;
   nic.on_packet(std::move(last));
-  EXPECT_TRUE(done);
-  EXPECT_TRUE(ok);
+  EXPECT_EQ(seen, dfs::DfsError::kOk);
   EXPECT_FALSE(tracker.pending(1));
   EXPECT_EQ(tracker.late_acks(), 0u);
   EXPECT_EQ(tracker.stray_nacks(), 0u);
@@ -255,17 +252,14 @@ TEST(AckTracker, NackFailsImmediately) {
   rdma::Nic nic(sim, net, mem);
   tracker.install(nic);
 
-  bool done = false, ok = true;
-  tracker.expect(2, 5, [&](bool o, TimePs) {
-    done = true;
-    ok = o;
-  });
+  std::optional<dfs::DfsError> seen;
+  tracker.expect(2, 5, [&](dfs::DfsError err, TimePs) { seen = err; });
   net::Packet nack;
   nack.opcode = net::Opcode::kNack;
   nack.user_tag = 2;
   nic.on_packet(std::move(nack));
-  EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);
+  // raddr 0 is a legacy NACK from a pre-typed peer: the blanket kDenied.
+  EXPECT_EQ(seen, dfs::DfsError::kDenied);
   EXPECT_EQ(tracker.stray_nacks(), 0u);
 }
 
@@ -290,7 +284,7 @@ TEST(AckTracker, UnknownTagIgnoredButCounted) {
 
 TEST(AckTracker, CancelDropsOp) {
   services::AckTracker tracker;
-  tracker.expect(3, 1, [](bool, TimePs) { FAIL() << "cancelled op completed"; });
+  tracker.expect(3, 1, [](dfs::DfsError, TimePs) { FAIL() << "cancelled op completed"; });
   tracker.cancel(3);
   EXPECT_FALSE(tracker.pending(3));
 }
@@ -298,14 +292,14 @@ TEST(AckTracker, CancelDropsOp) {
 TEST(AckTracker, ReExpectOfPendingTagIsHardError) {
   services::AckTracker tracker;
   bool first_fired = false;
-  tracker.expect(7, 1, [&](bool, TimePs) { first_fired = true; });
+  tracker.expect(7, 1, [&](dfs::DfsError, TimePs) { first_fired = true; });
   // Silent overwrite would orphan the first callback; it must throw instead.
-  EXPECT_THROW(tracker.expect(7, 1, [](bool, TimePs) {}), std::logic_error);
+  EXPECT_THROW(tracker.expect(7, 1, [](dfs::DfsError, TimePs) {}), std::logic_error);
   EXPECT_TRUE(tracker.pending(7));
   EXPECT_FALSE(first_fired);  // the original op is untouched
   // A *completed* tag is free for reuse.
   tracker.cancel(7);
-  EXPECT_NO_THROW(tracker.expect(7, 1, [](bool, TimePs) {}));
+  EXPECT_NO_THROW(tracker.expect(7, 1, [](dfs::DfsError, TimePs) {}));
 }
 
 TEST(AckTracker, ReplaceSupersedesPendingOp) {
@@ -316,9 +310,9 @@ TEST(AckTracker, ReplaceSupersedesPendingOp) {
   rdma::Nic nic(sim, net, mem);
   tracker.install(nic);
 
-  tracker.expect(8, 1, [](bool, TimePs) { FAIL() << "replaced op completed"; });
+  tracker.expect(8, 1, [](dfs::DfsError, TimePs) { FAIL() << "replaced op completed"; });
   bool done = false;
-  tracker.replace(8, 1, [&](bool, TimePs) { done = true; });
+  tracker.replace(8, 1, [&](dfs::DfsError, TimePs) { done = true; });
   EXPECT_EQ(tracker.replaced_ops(), 1u);
   EXPECT_EQ(tracker.pending_count(), 1u);
 
@@ -329,22 +323,22 @@ TEST(AckTracker, ReplaceSupersedesPendingOp) {
   EXPECT_TRUE(done);
 
   // replace() on a free tag is just expect().
-  tracker.replace(9, 1, [](bool, TimePs) {});
+  tracker.replace(9, 1, [](dfs::DfsError, TimePs) {});
   EXPECT_EQ(tracker.replaced_ops(), 1u);
   EXPECT_TRUE(tracker.pending(9));
 }
 
 TEST(AckTracker, TakeHandsBackTheCallback) {
   services::AckTracker tracker;
-  bool fired = false;
-  tracker.expect(4, 2, [&](bool ok, TimePs) { fired = !ok; });
+  std::optional<dfs::DfsError> seen;
+  tracker.expect(4, 2, [&](dfs::DfsError err, TimePs) { seen = err; });
   auto cb = tracker.take(4);
   ASSERT_TRUE(cb.has_value());
   EXPECT_FALSE(tracker.pending(4));
-  // take() hands back the typed callback; the DoneCb the test registered
-  // sees kTimeout collapsed to ok == false.
+  // take() hands back the registered callback; the caller decides what
+  // the expiry means.
   (*cb)(dfs::DfsError::kTimeout, 0);
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(seen, dfs::DfsError::kTimeout);
   EXPECT_FALSE(tracker.take(4).has_value());
 }
 

@@ -28,10 +28,10 @@ struct WriteResult {
   TimePs at = 0;
 };
 
-services::DoneCb capture(WriteResult& r) {
-  return [&r](bool ok, TimePs at) {
+services::OpCb capture(WriteResult& r) {
+  return [&r](dfs::DfsError err, TimePs at) {
     r.done = true;
-    r.ok = ok;
+    r.ok = err == dfs::DfsError::kOk;
     r.at = at;
   };
 }
@@ -313,7 +313,7 @@ TEST(SpinPath, ReadRoundTrip) {
   Bytes got;
   TimePs read_at = 0;
   client.read(layout, rcap, static_cast<std::uint32_t>(data.size()),
-              [&](Bytes d, TimePs at) {
+              [&](dfs::DfsError, Bytes d, TimePs at) {
                 got = std::move(d);
                 read_at = at;
               });

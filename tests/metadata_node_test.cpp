@@ -125,10 +125,10 @@ TEST(MetadataNodeRpc, FullWorkflowOpenThenWriteThenRead) {
     ASSERT_TRUE(r.has_value());
     const auto layout = r->layout;
     const auto cap = r->cap;
-    client.write(layout, cap, data, [&, layout, cap](bool ok, TimePs) {
-      wrote = ok;
+    client.write(layout, cap, data, [&, layout, cap](dfs::DfsError err, TimePs) {
+      wrote = err == dfs::DfsError::kOk;
       client.read(layout, cap, static_cast<std::uint32_t>(data.size()),
-                  [&](Bytes d, TimePs) { got = std::move(d); });
+                  [&](dfs::DfsError, Bytes d, TimePs) { got = std::move(d); });
     });
   });
   cluster.sim().run();

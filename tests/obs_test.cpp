@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -148,6 +149,33 @@ TEST(ObsSketch, MergeEqualsRecordingTheUnion) {
   EXPECT_TRUE(same(reversed, both));
   merged.merge(obs::QuantileSketch{});
   EXPECT_TRUE(same(merged, both));
+}
+
+TEST(ObsSketch, BenchAccumulatorMergesSnapshotsLikeTheSketch) {
+  // Two sweep points with disjoint latency ranges, plus one whose sketch
+  // stayed empty: the BENCH totals must be those of QuantileSketch::merge —
+  // buckets summed, min and max merged as such — and so must the derived
+  // percentiles.
+  obs::QuantileSketch a, b, empty;
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "sketches compiled out (NADFS_OBS=OFF)";
+  Rng rng(12);
+  for (int i = 0; i < 400; ++i) a.record(us(2) + rng.next_below(us(8)));
+  for (int i = 0; i < 100; ++i) b.record(us(40) + rng.next_below(us(200)));
+  bench::MetricsAccumulator acc;
+  for (const obs::QuantileSketch* s : {&a, &empty, &b}) {
+    obs::MetricRegistry reg;
+    reg.sketch("lat", *s);
+    acc.add(reg.snapshot());
+  }
+  obs::QuantileSketch merged = a;
+  merged.merge(b);
+  const auto totals = acc.totals();
+  const auto as_ll = [](std::uint64_t v) { return static_cast<long long>(v); };
+  EXPECT_EQ(totals.at("lat.count"), as_ll(merged.count()));
+  EXPECT_EQ(totals.at("lat.min_ps"), as_ll(merged.min_ps()));
+  EXPECT_EQ(totals.at("lat.max_ps"), as_ll(merged.max_ps()));
+  EXPECT_EQ(totals.at("lat.p50_ns"), as_ll((merged.quantile_ps(0.50) + 500) / 1000));
+  EXPECT_EQ(totals.at("lat.p99_ns"), as_ll((merged.quantile_ps(0.99) + 500) / 1000));
 }
 
 // -------------------------------------------------------------- registry
@@ -314,12 +342,12 @@ std::uint64_t run_workload_digest(bool traced) {
       h *= 1099511628211ull;
     }
   };
-  c0.write(l0, cap0, random_bytes(20000, 7), [&](bool ok, TimePs at) {
-    mix(ok);
+  c0.write(l0, cap0, random_bytes(20000, 7), [&](dfs::DfsError err, TimePs at) {
+    mix(err == dfs::DfsError::kOk);
     mix(at);
   });
-  c1.write(l1, cap1, random_bytes(30000, 9), [&](bool ok, TimePs at) {
-    mix(ok);
+  c1.write(l1, cap1, random_bytes(30000, 9), [&](dfs::DfsError err, TimePs at) {
+    mix(err == dfs::DfsError::kOk);
     mix(at);
   });
   cluster.sim().run();

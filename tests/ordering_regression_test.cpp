@@ -52,7 +52,9 @@ TEST(ForwardOrdering, TinyFinalPacketParityStreamStaysOrdered) {
 
   const Bytes data = random_bytes(size, 1);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
@@ -96,7 +98,9 @@ TEST(ForwardOrdering, TinyFinalPacketReplicationChainStaysOrdered) {
   const std::size_t size = (2048 - 130) + 4 * 2048 + 8;
   const Bytes data = random_bytes(size, 2);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(ok);
   for (const auto& coord : layout.targets) {
@@ -134,7 +138,9 @@ TEST(ForwardOrdering, ConcurrentEcWritesAllProduceCorrectParity) {
     Client& client = i % 2 ? c1 : c0;
     const auto cap = cluster.metadata().grant(client.client_id(), *objs[i].layout,
                                               auth::Right::kWrite);
-    client.write(*objs[i].layout, cap, objs[i].data, [&oks](bool o, TimePs) { oks += o; });
+    client.write(*objs[i].layout, cap, objs[i].data, [&oks](dfs::DfsError err, TimePs) {
+      oks += err == dfs::DfsError::kOk;
+    });
   }
   cluster.sim().run();
   ASSERT_EQ(oks, objs.size());

@@ -96,7 +96,9 @@ TEST(Partition, TrunkCutIsSplitBrainFreeAndHeals) {
     const auto wcap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kWrite);
     const Bytes data = random_bytes(size, chaos_seed());
     bool wrote = false;
-    writer.write(layout, wcap, data, [&](bool ok, TimePs) { wrote = ok; });
+    writer.write(layout, wcap, data, [&](dfs::DfsError err, TimePs) {
+      wrote = err == dfs::DfsError::kOk;
+    });
     cluster.sim().run();
     EXPECT_TRUE(wrote);
 
@@ -167,7 +169,7 @@ TEST(Partition, TrunkCutIsSplitBrainFreeAndHeals) {
     const auto rcap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kRead);
     Bytes got;
     writer.read(layout, rcap, static_cast<std::uint32_t>(size),
-                [&](Bytes d, TimePs) { got = std::move(d); });
+                [&](dfs::DfsError, Bytes d, TimePs) { got = std::move(d); });
     cluster.sim().run();
     EXPECT_EQ(got, data);
 

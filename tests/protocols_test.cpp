@@ -3,6 +3,8 @@
 // every node involved, sane completion semantics.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "ec/reed_solomon.hpp"
 #include "protocols/cpu_repl.hpp"
@@ -37,9 +39,9 @@ struct Run {
 Run drive(Cluster& cluster, Client& client, WriteProtocol& proto, const FileLayout& layout,
           const auth::Capability& cap, const Bytes& data) {
   Run r;
-  proto.write(client, layout, cap, data, [&](bool ok, TimePs at) {
+  proto.write(client, layout, cap, data, [&](dfs::DfsError err, TimePs at) {
     r.done = true;
-    r.ok = ok;
+    r.ok = err == dfs::DfsError::kOk;
     r.at = at;
   });
   cluster.sim().run();
@@ -100,6 +102,64 @@ TEST(RpcProtocol, RejectsForgedCapability) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(proto.validation_failures(), 1u);
   EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node).target().bytes_written(), 0u);
+}
+
+TEST(RpcProtocol, RepliesCompleteTheWriteThatSentThem) {
+  // Two writes in flight from one client, the second with a forged
+  // capability: each callback fires once, with its own write's outcome.
+  Cluster cluster(host_path_config());
+  Client client(cluster, 0);
+  const auto& a = cluster.metadata().create("a", 16 * KiB, FilePolicy{});
+  const auto& b = cluster.metadata().create("b", 16 * KiB, FilePolicy{});
+  const auto cap_a = cluster.metadata().grant(client.client_id(), a, auth::Right::kWrite);
+  auto cap_b = cluster.metadata().grant(client.client_id(), b, auth::Right::kWrite);
+  cap_b.mac ^= 0xBAD;
+  RpcWrite proto(cluster);
+
+  const Bytes data = random_bytes(8 * KiB, 6);
+  std::vector<dfs::DfsError> a_done;
+  std::vector<dfs::DfsError> b_done;
+  proto.write(client, a, cap_a, data, [&](dfs::DfsError err, TimePs) { a_done.push_back(err); });
+  proto.write(client, b, cap_b, random_bytes(8 * KiB, 7), [&](dfs::DfsError err, TimePs) {
+    b_done.push_back(err);
+  });
+  cluster.sim().run();
+
+  EXPECT_EQ(a_done, std::vector{dfs::DfsError::kOk});
+  EXPECT_EQ(b_done, std::vector{dfs::DfsError::kDenied});
+  EXPECT_EQ(proto.validation_failures(), 1u);
+  EXPECT_EQ(
+      cluster.storage_by_node(a.targets[0].node).target().read(a.targets[0].addr, data.size()),
+      data);
+}
+
+TEST(RpcRdmaProtocol, ConcurrentWritesStageInTheirOwnWindows) {
+  // Two writes in flight from one client: each stages its payload in its
+  // own window, so the server's RDMA read fetches each write's own bytes.
+  Cluster cluster(host_path_config());
+  Client client(cluster, 0);
+  const auto& a = cluster.metadata().create("a", 64 * KiB, FilePolicy{});
+  const auto& b = cluster.metadata().create("b", 64 * KiB, FilePolicy{});
+  const auto cap_a = cluster.metadata().grant(client.client_id(), a, auth::Right::kWrite);
+  const auto cap_b = cluster.metadata().grant(client.client_id(), b, auth::Right::kWrite);
+  RpcRdmaWrite proto(cluster);
+
+  const Bytes data_a = random_bytes(40000, 8);
+  const Bytes data_b = random_bytes(30000, 9);
+  std::vector<dfs::DfsError> a_done;
+  std::vector<dfs::DfsError> b_done;
+  proto.write(client, a, cap_a, data_a, [&](dfs::DfsError err, TimePs) { a_done.push_back(err); });
+  proto.write(client, b, cap_b, data_b, [&](dfs::DfsError err, TimePs) { b_done.push_back(err); });
+  cluster.sim().run();
+
+  EXPECT_EQ(a_done, std::vector{dfs::DfsError::kOk});
+  EXPECT_EQ(b_done, std::vector{dfs::DfsError::kOk});
+  EXPECT_EQ(
+      cluster.storage_by_node(a.targets[0].node).target().read(a.targets[0].addr, data_a.size()),
+      data_a);
+  EXPECT_EQ(
+      cluster.storage_by_node(b.targets[0].node).target().read(b.targets[0].addr, data_b.size()),
+      data_b);
 }
 
 TEST(RpcRdmaProtocol, ZeroCopyWrite) {

@@ -44,7 +44,9 @@ struct Rig {
     const auto cap = cluster->metadata().grant(client->client_id(), *layout, auth::Right::kWrite);
     data = random_bytes(size, 42);
     bool ok = false;
-    client->write(*layout, cap, data, [&](bool o, TimePs) { ok = o; });
+    client->write(*layout, cap, data, [&](dfs::DfsError err, TimePs) {
+      ok = err == dfs::DfsError::kOk;
+    });
     cluster->sim().run();
     EXPECT_TRUE(ok);
   }

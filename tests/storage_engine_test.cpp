@@ -116,7 +116,9 @@ TEST(StorageEngine, PerNodeEngineSelectionInCluster) {
       cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   const Bytes data = random_bytes(8 * KiB, 5);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool w, TimePs) { ok = w; });
+  client.write(layout, cap, data, [&](dfs::DfsError err, TimePs) {
+    ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(ok);
   Bytes back;
@@ -315,7 +317,9 @@ std::uint64_t betree_cluster_digest(std::uint64_t seed) {
   const auto cap =
       cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   bool ok = false;
-  client.write(layout, cap, random_bytes(size, seed), [&](bool w, TimePs) { ok = w; });
+  client.write(layout, cap, random_bytes(size, seed), [&](dfs::DfsError err, TimePs) {
+    ok = err == dfs::DfsError::kOk;
+  });
   const TimePs end = cluster.sim().run();
   EXPECT_TRUE(ok) << "seed " << seed;
 

@@ -63,7 +63,7 @@ TEST(TraceSink, DeviceIntegrationRecordsEveryHandler) {
   Rng rng(1);
   Bytes data(10000);
   for (auto& b : data) b = rng.next_byte();
-  client.write(layout, cap, data, [](bool, TimePs) {});
+  client.write(layout, cap, data, [](dfs::DfsError, TimePs) {});
   cluster.sim().run();
 
   // 10000 B -> 5 packets: 1 HH + 5 PH + 1 CH = 7 handler executions.
@@ -168,7 +168,9 @@ TEST(SpanTracer, WholeSystemWriteCorrelatesAcrossLayers) {
   const auto& layout = cluster.metadata().create("o", 16 * KiB, policy);
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
   bool ok = false;
-  client.write(layout, cap, Bytes(10000, 5), [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, Bytes(10000, 5), [&](dfs::DfsError err, TimePs) {
+    ok = err == dfs::DfsError::kOk;
+  });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
@@ -199,7 +201,7 @@ TEST(SpanTracer, WholeSystemWriteCorrelatesAcrossLayers) {
   // Detaching stops recording.
   cluster.set_tracer(nullptr);
   const auto before = tracer.size();
-  client.write(layout, cap, Bytes(1000, 6), [](bool, TimePs) {});
+  client.write(layout, cap, Bytes(1000, 6), [](dfs::DfsError, TimePs) {});
   cluster.sim().run();
   EXPECT_EQ(tracer.size(), before);
 }
@@ -213,7 +215,7 @@ TEST(TraceSink, DetachedDeviceRecordsNothing) {
   node.pspin().set_trace(&sink);
   node.pspin().set_trace(nullptr);  // detach again
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-  client.write(layout, cap, Bytes(1024, 1), [](bool, TimePs) {});
+  client.write(layout, cap, Bytes(1024, 1), [](dfs::DfsError, TimePs) {});
   cluster.sim().run();
   EXPECT_EQ(sink.size(), 0u);
 }
