@@ -20,7 +20,8 @@
 // report fails the run, not the consumer.
 #include <cstdlib>
 
-#include "bench/harness.hpp"
+#include "bench/report.hpp"
+#include "common/rng.hpp"
 #include "services/rebalancer.hpp"
 #include "workload/workload.hpp"
 
@@ -42,6 +43,7 @@ struct RejoinPoint {
   TimePs downtime = 0;
   TimePs detect_latency = 0;  ///< kill -> on_failure
   TimePs rejoin_latency = 0;  ///< restart -> on_rejoin
+  Snapshot metrics;
 };
 
 RejoinPoint run_rejoin(TimePs downtime) {
@@ -72,12 +74,12 @@ RejoinPoint run_rejoin(TimePs downtime) {
   cluster.sim().run_until(restart_time + us(200));
   detector.stop();
   cluster.sim().run();
-  MetricsAccumulator::instance().add(cluster.metrics().snapshot());
 
   RejoinPoint p;
   p.downtime = downtime;
   p.detect_latency = detected_at > kill_at ? detected_at - kill_at : 0;
   p.rejoin_latency = rejoined_at > restart_time ? rejoined_at - restart_time : 0;
+  p.metrics = cluster.metrics().snapshot();
   return p;
 }
 
@@ -89,6 +91,7 @@ struct RebalancePoint {
   std::uint64_t moves = 0;
   std::uint64_t moved_bytes = 0;
   bool converged = false;
+  Snapshot metrics;
 };
 
 RebalancePoint run_rebalance(std::uint64_t bytes_per_tick, unsigned objects) {
@@ -137,7 +140,6 @@ RebalancePoint run_rebalance(std::uint64_t bytes_per_tick, unsigned objects) {
   const TimePs converged_at = cluster.sim().now();
   rebalancer.stop();
   cluster.sim().run();
-  MetricsAccumulator::instance().add(cluster.metrics().snapshot());
 
   RebalancePoint p;
   p.budget = bytes_per_tick;
@@ -145,6 +147,7 @@ RebalancePoint run_rebalance(std::uint64_t bytes_per_tick, unsigned objects) {
   p.moves = rebalancer.moves();
   p.moved_bytes = rebalancer.moved_bytes();
   p.converged = converged;
+  p.metrics = cluster.metrics().snapshot();
   return p;
 }
 
@@ -157,6 +160,7 @@ struct RollingPoint {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t rejoins = 0;
+  Snapshot metrics;
 };
 
 RollingPoint run_rolling(bool smoke) {
@@ -228,10 +232,10 @@ RollingPoint run_rolling(bool smoke) {
   ecfg.timeout = us(40);
   workload::Engine engine(cluster, ecfg, {tenant});
   engine.run();
-  MetricsAccumulator::instance().add(cluster.metrics().snapshot());
 
   const auto& s = engine.stats();
   RollingPoint p;
+  p.metrics = cluster.metrics().snapshot();
   p.goodput_gbps = s.goodput_gbps(ecfg.duration);
   p.completed = s.completed;
   p.failed = s.failed;
@@ -285,6 +289,7 @@ int main() {
                     to_us(p.detect_latency), to_us(p.rejoin_latency));
       std::printf("CSV:%s\n", csv);
       report.add_csv(csv);
+      report.add_metrics(p.metrics);
     }
   }
 
@@ -318,6 +323,7 @@ int main() {
                     static_cast<unsigned long long>(p.moved_bytes / KiB));
       std::printf("CSV:%s\n", csv);
       report.add_csv(csv);
+      report.add_metrics(p.metrics);
     }
   }
 
@@ -335,6 +341,7 @@ int main() {
                   static_cast<unsigned long long>(p.failed));
     std::printf("CSV:%s\n", csv);
     report.add_csv(csv);
+    report.add_metrics(p.metrics);
     if (p.completed == 0 || p.rejoins == 0) {
       std::fprintf(stderr, "FAIL: rolling restart completed %llu ops, %llu rejoins\n",
                    static_cast<unsigned long long>(p.completed),

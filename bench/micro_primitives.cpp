@@ -492,6 +492,7 @@ struct ObsRun {
   std::uint64_t last_end_ps = 0;
   std::size_t spans = 0;
   std::size_t samples = 0;
+  bench::Snapshot metrics;  ///< the cluster's, unless the variant is bare
 };
 
 enum class ObsVariant { kBare, kMetrics, kFull };
@@ -561,9 +562,7 @@ ObsRun run_obs_goodput(ObsVariant variant, std::size_t size, unsigned n_clients,
   }
   r.spans = tracer.spans().size();
   r.samples = sampler.rows().size();
-  if (variant != ObsVariant::kBare) {
-    bench::MetricsAccumulator::instance().add(cluster.metrics().snapshot());
-  }
+  if (variant != ObsVariant::kBare) r.metrics = cluster.metrics().snapshot();
   r.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   return r;
 }
@@ -581,6 +580,7 @@ void run_obs_overhead_sweep() {
   for (unsigned i = 0; i < reps; ++i) {
     for (const auto v : {ObsVariant::kBare, ObsVariant::kMetrics, ObsVariant::kFull}) {
       const auto r = run_obs_goodput(v, size, clients, per_client);
+      if (v != ObsVariant::kBare) report.add_metrics(r.metrics);
       auto& b = best[static_cast<int>(v)];
       if (r.wall_ms < b.wall_ms) b = r;
     }

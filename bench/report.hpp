@@ -1,7 +1,6 @@
-// Sweep execution + reporting, shared by the fig*_ harness (bench/harness.hpp)
-// and the self-contained micro benches: a thread pool with ordered result
-// collection, the BENCH_<name>.json machine-readable summary writer, and
-// the strict read-back check benches run on their own report.
+// Sweep execution + reporting, shared by every bench: a thread pool with
+// ordered result collection, the BENCH_<name>.json machine-readable summary
+// writer, and the strict read-back check benches run on their own report.
 #pragma once
 
 #include <algorithm>
@@ -29,23 +28,20 @@
 
 namespace nadfs::bench {
 
-/// Process-wide accumulator for per-point cluster metric snapshots
-/// (obs::MetricRegistry::snapshot()). Each sweep point's flat
-/// (name -> value) map is merged in: counters and quantile-sketch buckets
-/// sum, a sketch's `.max_ps` merges as a max and its `.min_ps` as a min
-/// over the snapshots whose sketch recorded samples (an empty sketch
-/// reports 0). Every merge is commutative, so the totals are independent
-/// of thread scheduling and SweepReport::finish can embed them in
-/// BENCH_<name>.json without breaking parallel/serial output equivalence.
+/// A cluster's flat (name -> value) metric map,
+/// obs::MetricRegistry::snapshot().
+using Snapshot = std::map<std::string, long long>;
+
+/// Merges the metric snapshots of one report's sweep points: counters and
+/// quantile-sketch buckets sum, a sketch's `.max_ps` merges as a max and
+/// its `.min_ps` as a min over the snapshots whose sketch recorded samples
+/// (an empty sketch reports 0). Every merge is commutative, so the totals
+/// do not depend on which thread ran which point, and SweepReport::finish
+/// can embed them in BENCH_<name>.json without breaking parallel/serial
+/// output equivalence.
 class MetricsAccumulator {
  public:
-  static MetricsAccumulator& instance() {
-    static MetricsAccumulator acc;
-    return acc;
-  }
-
-  void add(const std::map<std::string, long long>& snapshot) {
-    const std::lock_guard<std::mutex> lock(mu_);
+  void add(const Snapshot& snapshot) {
     for (const auto& [name, value] : snapshot) {
       long long& total = totals_[name];
       if (sketch_count(snapshot, name, ".max_ps") != nullptr) {
@@ -62,10 +58,9 @@ class MetricsAccumulator {
   /// The merged totals plus "<base>.p50_ns"/"<base>.p99_ns" for every
   /// quantile-sketch family with samples, read off the merged sketch by
   /// obs::QuantileSketch::quantile_of.
-  std::map<std::string, long long> totals() const {
-    const std::lock_guard<std::mutex> lock(mu_);
+  Snapshot totals() const {
     constexpr std::string_view kCount = ".count";
-    std::map<std::string, long long> out = totals_;
+    Snapshot out = totals_;
     for (const auto& [name, count] : totals_) {
       if (count <= 0 || !name.ends_with(kCount)) continue;
       const std::string base = name.substr(0, name.size() - kCount.size());
@@ -93,23 +88,19 @@ class MetricsAccumulator {
     return out;
   }
 
-  std::size_t snapshots() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return snapshots_;
-  }
+  std::size_t snapshots() const { return snapshots_; }
 
  private:
   /// The "<base>.count" of the sketch family `name` belongs to when `name`
   /// is "<base><suffix>" and `snapshot` holds that count; else nullptr.
-  static const long long* sketch_count(const std::map<std::string, long long>& snapshot,
-                                       const std::string& name, std::string_view suffix) {
+  static const long long* sketch_count(const Snapshot& snapshot, const std::string& name,
+                                       std::string_view suffix) {
     if (!name.ends_with(suffix)) return nullptr;
     const auto it = snapshot.find(name.substr(0, name.size() - suffix.size()) + ".count");
     return it == snapshot.end() ? nullptr : &it->second;
   }
 
-  mutable std::mutex mu_;
-  std::map<std::string, long long> totals_;
+  Snapshot totals_;
   std::set<std::string> has_min_;  ///< `.min_ps` entries holding a real min
   std::size_t snapshots_ = 0;
 };
@@ -177,15 +168,17 @@ class SweepRunner {
   unsigned threads_ = 1;
 };
 
-/// Wall-clock accounting for one bench binary plus a machine-readable
-/// summary written to BENCH_<name>.json in the working directory (the CSV
-/// rows mirror the "CSV:" stdout lines).
+/// Wall-clock accounting for one sweep plus a machine-readable summary
+/// written to BENCH_<name>.json in the working directory (the CSV rows
+/// mirror the "CSV:" stdout lines).
 class SweepReport {
  public:
   explicit SweepReport(std::string name)
       : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
 
   void add_csv(std::string line) { csv_.push_back(std::move(line)); }
+  /// Merges one cluster's snapshot into this report's "metrics" block.
+  void add_metrics(const Snapshot& snapshot) { metrics_.add(snapshot); }
 
   double elapsed_ms() const {
     return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start_)
@@ -210,12 +203,11 @@ class SweepReport {
       std::fprintf(f, "%s\n    \"%s\"", i ? "," : "", json_escape(csv_[i]).c_str());
     }
     std::fprintf(f, "%s],\n", csv_.empty() ? "" : "\n  ");
-    // Merged cluster-metric snapshots across every measured point (empty
-    // object when the bench never harvested a cluster), with the
-    // percentiles of every merged quantile sketch.
-    const auto& acc = MetricsAccumulator::instance();
-    const auto totals = acc.totals();
-    std::fprintf(f, "  \"metric_snapshots\": %zu,\n  \"metrics\": {", acc.snapshots());
+    // Merged cluster-metric snapshots of this report's points (empty object
+    // when none harvested a cluster), with the percentiles of every merged
+    // quantile sketch.
+    const auto totals = metrics_.totals();
+    std::fprintf(f, "  \"metric_snapshots\": %zu,\n  \"metrics\": {", metrics_.snapshots());
     std::size_t i = 0;
     for (const auto& [metric, value] : totals) {
       std::fprintf(f, "%s\n    \"%s\": %lld", i++ ? "," : "", json_escape(metric).c_str(), value);
@@ -239,7 +231,14 @@ class SweepReport {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   std::vector<std::string> csv_;
+  MetricsAccumulator metrics_;
 };
+
+inline void print_header(const char* title, const char* paper_ref) {
+  std::printf("\n================================================================\n");
+  std::printf("%s\n(reproduces %s)\n", title, paper_ref);
+  std::printf("================================================================\n");
+}
 
 /// Reopen a BENCH_<name>.json this process just wrote and read it back the
 /// way a consumer would: strict obs::json_parse, a non-empty "rows" array,

@@ -25,7 +25,7 @@
 // with the strict obs JSON parser.
 #include <cstdlib>
 
-#include "bench/harness.hpp"
+#include "bench/report.hpp"
 #include "services/host_dfs.hpp"
 #include "storage/engine/engine.hpp"
 #include "workload/workload.hpp"
@@ -76,9 +76,10 @@ struct Point {
   long long compact_bytes = 0;  ///< compaction read + write device traffic
   long long stalls = 0;
   long long stall_us = 0;  ///< total buffer-full stall time, µs
+  Snapshot metrics;
 };
 
-long long sum_suffix(const std::map<std::string, long long>& snap, const std::string& suffix) {
+long long sum_suffix(const Snapshot& snap, const std::string& suffix) {
   long long total = 0;
   for (const auto& [name, value] : snap) {
     if (name.size() > suffix.size() &&
@@ -128,8 +129,6 @@ Point run_point(const Variant& v, double offered_gbps, bool smoke) {
 
   workload::Engine engine(cluster, ecfg, {tenant});
   engine.run();
-  const auto snap = cluster.metrics().snapshot();
-  MetricsAccumulator::instance().add(snap);
 
   const auto& s = engine.stats();
   Point p;
@@ -137,11 +136,12 @@ Point run_point(const Variant& v, double offered_gbps, bool smoke) {
   p.goodput_gbps = s.goodput_gbps(ecfg.duration);
   p.completed = s.completed;
   p.failed = s.failed;
-  p.flush_bytes = sum_suffix(snap, ".storage.engine.flush_bytes");
-  p.compact_bytes = sum_suffix(snap, ".storage.engine.compact_read_bytes") +
-                    sum_suffix(snap, ".storage.engine.compact_write_bytes");
-  p.stalls = sum_suffix(snap, ".storage.engine.stalls");
-  p.stall_us = sum_suffix(snap, ".storage.engine.stall_ps") / 1'000'000;
+  p.metrics = cluster.metrics().snapshot();
+  p.flush_bytes = sum_suffix(p.metrics, ".storage.engine.flush_bytes");
+  p.compact_bytes = sum_suffix(p.metrics, ".storage.engine.compact_read_bytes") +
+                    sum_suffix(p.metrics, ".storage.engine.compact_write_bytes");
+  p.stalls = sum_suffix(p.metrics, ".storage.engine.stalls");
+  p.stall_us = sum_suffix(p.metrics, ".storage.engine.stall_ps") / 1'000'000;
   return p;
 }
 
@@ -204,6 +204,7 @@ int main() {
                     p.stalls, p.stall_us);
       std::printf("CSV:%s\n", csv);
       report.add_csv(csv);
+      report.add_metrics(p.metrics);
     }
     const std::size_t k = knee_index(pts);
     std::printf("%-10s knee at %.2f Gb/s offered (goodput %.2f Gb/s)\n\n", v.name,

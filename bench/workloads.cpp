@@ -18,7 +18,7 @@
 // fails the run, not the consumer.
 #include <cstdlib>
 
-#include "bench/harness.hpp"
+#include "bench/report.hpp"
 #include "services/host_dfs.hpp"
 #include "workload/workload.hpp"
 
@@ -26,6 +26,8 @@ using namespace nadfs;
 using namespace nadfs::bench;
 
 namespace {
+
+using services::FilePolicy;
 
 struct Variant {
   const char* name;
@@ -55,6 +57,7 @@ struct Point {
   std::uint64_t offered_ops = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
+  Snapshot metrics;
 };
 
 Point run_point(const Variant& v, double offered_gbps, bool smoke) {
@@ -94,7 +97,6 @@ Point run_point(const Variant& v, double offered_gbps, bool smoke) {
 
   workload::Engine engine(cluster, ecfg, {tenant});
   engine.run();
-  MetricsAccumulator::instance().add(cluster.metrics().snapshot());
 
   const auto& s = engine.stats();
   Point p;
@@ -103,6 +105,7 @@ Point run_point(const Variant& v, double offered_gbps, bool smoke) {
   p.offered_ops = s.offered;
   p.completed = s.completed;
   p.failed = s.failed;
+  p.metrics = cluster.metrics().snapshot();
   return p;
 }
 
@@ -165,6 +168,7 @@ int main() {
                     static_cast<unsigned long long>(p.failed));
       std::printf("CSV:%s\n", csv);
       report.add_csv(csv);
+      report.add_metrics(p.metrics);
     }
     const std::size_t k = knee_index(pts);
     std::printf("%-12s knee at %.2f Gb/s offered (goodput %.2f Gb/s)\n\n", v.name,

@@ -1,14 +1,16 @@
-// Handler-timeline observability: attach a TraceSink to every storage
-// node's PsPIN, run a replicated write and an erasure-coded write, export a
-// Chrome trace (load the JSON in chrome://tracing or ui.perfetto.dev), and
-// print a per-node utilization summary.
+// Handler-timeline observability: attach a span tracer to the cluster, run
+// a replicated write and an erasure-coded write, export a Chrome trace (load
+// the JSON in chrome://tracing or ui.perfetto.dev), and print a per-node
+// summary of the HPU handler runs.
 //
 //   $ ./build/examples/handler_timeline [output.json]
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <string>
 
 #include "common/rng.hpp"
+#include "obs/span.hpp"
 #include "services/client.hpp"
 #include "services/cluster.hpp"
 
@@ -23,10 +25,8 @@ int main(int argc, char** argv) {
   Cluster cluster(cfg);
   Client client(cluster, 0);
 
-  pspin::TraceSink trace;
-  for (std::size_t n = 0; n < cluster.storage_node_count(); ++n) {
-    cluster.storage_node(n).pspin().set_trace(&trace);
-  }
+  obs::SpanTracer trace;
+  cluster.set_tracer(&trace);
 
   // Workload: one 128 KiB ring-replicated write and one 128 KiB RS(3,2)
   // erasure-coded write.
@@ -52,18 +52,22 @@ int main(int argc, char** argv) {
 
   const TimePs end = cluster.sim().run();
 
-  // Summaries from the trace.
-  std::printf("simulated %s, %zu handler executions recorded\n",
-              format_time(end).c_str(), trace.size());
+  // Summaries from the handler spans (the trace also holds every other
+  // layer's spans).
   struct NodeSummary {
     TimePs busy = 0;
     std::size_t runs = 0;
   };
-  std::map<net::NodeId, NodeSummary> per_node;
-  for (const auto& r : trace.records()) {
-    per_node[r.node].busy += r.end - r.start;
-    per_node[r.node].runs++;
+  std::map<std::uint32_t, NodeSummary> per_node;
+  std::size_t runs = 0;
+  for (const auto& s : trace.spans()) {
+    if (std::string(s.cat) != "handler") continue;
+    per_node[s.node].busy += s.end_ps - s.start_ps;
+    per_node[s.node].runs++;
+    ++runs;
   }
+  std::printf("simulated %s, %zu handler executions recorded (%zu spans in all)\n",
+              format_time(end).c_str(), runs, trace.size());
   std::printf("%8s %10s %14s %16s\n", "node", "handlers", "HPU busy", "avg utilization*");
   for (const auto& [node, s] : per_node) {
     // 32 HPUs per device; utilization over the whole run window.

@@ -141,14 +141,18 @@ echo "== elasticity bench smoke (BENCH_elasticity.json validation)"
 echo "== workload bench smoke (BENCH_workloads.json validation)"
 (cd "$BUILD_DIR" && NADFS_BENCH_SMOKE=1 "./bench/workloads" > /dev/null)
 
-# Paper-figure, ablation and extension benches, plus the fault-recovery and
-# fabric sweeps (~2 s of sweeps together): each runs in its own scratch
-# directory under the build tree and must exit 0 and leave a
-# BENCH_<name>.json that strict-parses (no NaN/Infinity) with non-empty rows.
-echo "== figure/ablation/extension benches (BENCH_<name>.json validation)"
-BENCH_BIN="$PWD/$BUILD_DIR/bench"
+# Paper-figure, ablation and extension sweeps, plus the fault-recovery and
+# fabric sweeps (~2 s together): the entries of the `figures` binary. It
+# runs in a scratch directory under the build tree and must exit 0 and
+# leave, for every entry, a BENCH_<name>.json that strict-parses (no
+# NaN/Infinity) with non-empty rows. Every sweep point builds its own
+# clusters, so the thread count must not move a number: a second, serial
+# run (NADFS_BENCH_THREADS=1) must write the same rows and metrics to every
+# report.
+echo "== figures sweeps (BENCH_<name>.json validation, serial == parallel)"
+FIGURES="$PWD/$BUILD_DIR/bench/figures"
 BENCH_RUNS="$BUILD_DIR/bench-runs"
-FIGURE_BENCHES=(
+FIGURE_ENTRIES=(
   fig04_nic_memory fig06_write_latency fig07_pipeline_breakdown
   fig09_replication_latency fig09_goodput fig10_replication_factor
   fig11_handler_runtimes fig15_ec_latency fig15_ec_bandwidth fig16_ec_handlers
@@ -156,27 +160,32 @@ FIGURE_BENCHES=(
   ablation_chunk_size ablation_auth ablation_hpu_scaling ext_read_latency
   fault_recovery fabric
 )
-for b in "${FIGURE_BENCHES[@]}"; do
-  rm -rf "${BENCH_RUNS:?}/$b"
-  mkdir -p "$BENCH_RUNS/$b"
-  if ! (cd "$BENCH_RUNS/$b" && "$BENCH_BIN/$b" > stdout.txt 2>&1); then
-    echo "FAIL: bench $b exited non-zero"
-    tail -n 20 "$BENCH_RUNS/$b/stdout.txt"
-    exit 1
-  fi
+for run in figures figures-serial; do
+  rm -rf "${BENCH_RUNS:?}/$run"
+  mkdir -p "$BENCH_RUNS/$run"
 done
-python3 - "$BENCH_RUNS" "${FIGURE_BENCHES[@]}" <<'EOF'
+if ! (cd "$BENCH_RUNS/figures" && "$FIGURES" > stdout.txt 2>&1) ||
+   ! (cd "$BENCH_RUNS/figures-serial" && NADFS_BENCH_THREADS=1 "$FIGURES" > stdout.txt 2>&1); then
+  echo "FAIL: figures exited non-zero"
+  tail -n 20 "$BENCH_RUNS"/figures*/stdout.txt
+  exit 1
+fi
+python3 - "$BENCH_RUNS/figures" "$BENCH_RUNS/figures-serial" "${FIGURE_ENTRIES[@]}" <<'EOF'
 import json, os, sys
-runs, names = sys.argv[1], sys.argv[2:]
+runs, serial, names = sys.argv[1], sys.argv[2], sys.argv[3:]
 def reject(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
+def load(run, name):
+    with open(os.path.join(run, f"BENCH_{name}.json")) as fh:
+        return json.load(fh, parse_constant=reject)
+rows = 0
 for name in names:
-    path = os.path.join(runs, name, f"BENCH_{name}.json")
-    with open(path) as fh:
-        doc = json.load(fh, parse_constant=reject)
-    rows = doc.get("rows")
-    assert isinstance(rows, list) and rows, f"{path}: no rows"
-print(f"bench reports OK: {len(names)} benches, every BENCH_<name>.json parses with rows")
+    doc, ser = load(runs, name), load(serial, name)
+    assert isinstance(doc.get("rows"), list) and doc["rows"], f"{name}: no rows"
+    rows += len(doc["rows"])
+    for key in ("rows", "metrics"):
+        assert doc[key] == ser[key], f"{name}: {key} differ between the default and the serial run"
+print(f"figures OK: {len(names)} reports, {rows} rows, serial rows and metrics identical")
 EOF
 
 # Observability gate: the trace-enabled kill-mid-EC-write chaos scenario
@@ -212,4 +221,4 @@ cmake -B build-noobs -S . \
   -DNADFS_WERROR=ON \
   -DNADFS_OBS=OFF > /dev/null
 cmake --build build-noobs -j "$(nproc)" --target test_obs test_trace test_determinism
-ctest --test-dir build-noobs --output-on-failure -R 'Obs|SpanTracer|TraceSink|Determinism'
+ctest --test-dir build-noobs --output-on-failure -R 'Obs|SpanTracer|Determinism'

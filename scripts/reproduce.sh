@@ -9,6 +9,9 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# build/bench/figures regenerates every paper table/figure, ablation and
+# extension (one BENCH_<entry>.json each); the loop also runs the
+# workload, storage-engine, elasticity and micro benches.
 for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 
 for e in build/examples/*; do
@@ -18,9 +21,9 @@ for e in build/examples/*; do
   "$e"
 done
 
-# Collect every per-bench BENCH_<name>.json (written into the repo root by
-# the bench binaries above) into a single BENCH_manifest.json so one file
-# carries the whole run's machine-readable results.
+# Collect every BENCH_<name>.json (written into the repo root by the bench
+# binaries above) into a single BENCH_manifest.json so one file carries the
+# whole run's machine-readable results.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import glob, json, os

@@ -1,5 +1,4 @@
-// Cross-layer span tracing. Generalizes pspin::TraceSink (device-only
-// handler spans) into whole-system spans: a client op attempt, the NIC
+// Cross-layer span tracing. Spans cover every layer: a client op attempt, the NIC
 // doorbell/PCIe DMA it triggers, every network uplink/downlink hop, the
 // HPU handler executions on the storage nodes, egress commands and the
 // ack back to the client — all correlated by the operation's greq id
@@ -9,8 +8,8 @@
 // sim-time reads beyond values the caller already has — attaching a
 // tracer cannot change a run's digest. Export is Chrome trace-event JSON
 // (the Perfetto legacy format): pid = node id, tid = lane. HPU handler
-// spans keep pspin::TraceSink's lane convention (cluster*1000 + hpu);
-// other layers use the well-known lanes below.
+// spans use lane cluster*1000 + hpu; other layers use the well-known lanes
+// below.
 #pragma once
 
 #include <cstdint>
@@ -51,23 +50,7 @@ class SpanTracer {
  public:
   SpanTracer() { spans_.reserve(4096); }
 
-  void record(const Span& s) {
-    if (sample_every_ > 1) {
-      // Sample by *operation*, not by span: keep every span of every Nth
-      // correlation id (so a kept op's trace stays complete end-to-end),
-      // and always keep uncorrelated spans. Pure function of span content
-      // — sampling never changes event order or digests.
-      const std::uint64_t key = s.corr != 0 ? s.corr : s.msg;
-      if (key != 0 && key % sample_every_ != 0) return;
-    }
-    spans_.push_back(s);
-  }
-
-  /// Keep only every Nth operation's spans (1 = keep everything, the
-  /// default). Long runs pay ~8% for always-on full tracing; sampling
-  /// keeps the instrument usable at scale.
-  void set_sample_every(std::uint64_t n) { sample_every_ = n == 0 ? 1 : n; }
-  std::uint64_t sample_every() const { return sample_every_; }
+  void record(const Span& s) { spans_.push_back(s); }
 
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
@@ -89,7 +72,6 @@ class SpanTracer {
   static std::string lane_name(std::uint32_t lane);
 
  private:
-  std::uint64_t sample_every_ = 1;
   std::vector<Span> spans_;
   std::unordered_map<std::uint32_t, std::string> labels_;
 };

@@ -195,10 +195,6 @@ TimePs PsPinDevice::run_handler(spin::HandlerType type, const spin::Handler& han
   stats_.record(type, end - start, ctx.instr());
   last_handler_end_ = std::max(last_handler_end_, end);
   const auto hpu = static_cast<unsigned>(std::distance(cluster_hpus.begin(), it));
-  if (trace_) {
-    trace_->record(TraceRecord{nic_->node_id(), msg.cluster, hpu, type, pkt.msg_id, pkt.seq,
-                               ctx.instr(), start, end});
-  }
   if (obs::kObsEnabled && span_trace_) {
     span_trace_->record({nic_->node_id(), msg.cluster * 1000 + hpu, "handler",
                          spin::handler_type_name(type),

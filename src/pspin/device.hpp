@@ -38,7 +38,6 @@
 #include "net/arrivals.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "pspin/trace.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "spin/handler.hpp"
@@ -155,14 +154,10 @@ class PsPinDevice {
   HandlerStats& stats() { return stats_; }
   const HandlerStats& stats() const { return stats_; }
 
-  /// Attach a trace sink recording every handler invocation (timeline
-  /// observability; export via TraceSink::export_chrome_json).
-  void set_trace(TraceSink* sink) { trace_ = sink; }
-
   /// Attach a cross-layer span tracer: handler invocations (and cleanup
   /// runs) are recorded as spans on lane cluster*1000+hpu, correlated by
   /// Packet::user_tag (greq) or msg_id, alongside the other layers' spans.
-  /// Coexists with set_trace; both are pure recording.
+  /// Pure recording.
   void set_span_tracer(obs::SpanTracer* tracer) { span_trace_ = tracer; }
 
   /// Register device counters/gauges under `prefix` ("node3.pspin").
@@ -246,7 +241,6 @@ class PsPinDevice {
   std::uint32_t next_flow_slot_ = 0;
 
   HandlerStats stats_;
-  TraceSink* trace_ = nullptr;
   obs::SpanTracer* span_trace_ = nullptr;
   std::uint64_t payload_bytes_done_ = 0;
   TimePs last_handler_end_ = 0;

@@ -117,7 +117,7 @@ Client::Client(Cluster& cluster, std::size_t client_idx)
 Client::~Client() { cluster_.metrics().remove_prefix(metrics_prefix_); }
 
 void Client::note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
-                     TimePs issued, TimePs at, obs::QuantileSketch& sketch) {
+                     TimePs issued, TimePs at, obs::QuantileSketch* sketch) {
   if constexpr (!obs::kObsEnabled) {
     (void)name, (void)failed_name, (void)ok, (void)greq, (void)issued, (void)at, (void)sketch;
     return;
@@ -126,7 +126,7 @@ void Client::note_op(const char* name, const char* failed_name, bool ok, std::ui
     tracer->record({node_.id(), obs::kLaneClientOp, "op", ok ? name : failed_name, greq, greq, 0,
                     0, issued, at});
   }
-  if (ok) sketch.record(at - issued);
+  if (ok && sketch) sketch->record(at - issued);
 }
 
 unsigned Client::acks_for(const FileLayout& layout) {
@@ -222,18 +222,27 @@ void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
   }
 }
 
-OpCb Client::make_write_completion(std::uint64_t greq, OpCb cb, unsigned attempts_left,
-                                   std::function<void(unsigned)> reissue) {
+OpCb Client::make_completion(dfs::OpType op, std::uint64_t greq, OpCb cb, unsigned attempts_left,
+                             std::function<void(unsigned)> reissue) {
   // A failed attempt is either a NACK (typed error from the storage node,
   // e.g. request table full — paper §III-B.2) or a deadline expiry
   // (arm_write_deadline fails the op with kTimeout). Transient errors back
   // off and reissue, booked under the matching retry counter; permanent
   // errors (kNotFound, kBadArg, ...) surface immediately.
   const TimePs issued = cluster_.sim().now();
-  return [this, greq, issued, cb = std::move(cb), attempts_left,
+  return [this, greq, issued, cb = std::move(cb), attempts_left, op,
           reissue = std::move(reissue)](dfs::DfsError err, TimePs at) mutable {
     const bool ok = err == dfs::DfsError::kOk;
-    note_op("write", "write_failed", ok, greq, issued, at, write_latency_q_);
+    switch (op) {
+      case dfs::OpType::kTrim:
+        note_op("trim", "trim_failed", ok, greq, issued, at, nullptr);
+        break;
+      case dfs::OpType::kStat:
+        note_op("stat", "stat_failed", ok, greq, issued, at, nullptr);
+        break;
+      default:
+        note_op("write", "write_failed", ok, greq, issued, at, &write_latency_q_);
+    }
     if (ok || attempts_left == 0 || !transient_error(err)) {
       cb(err, at);
       return;
@@ -280,8 +289,8 @@ void Client::start_write(const FileLayout& layout, const auth::Capability& cap,
       start_write(layout, cap, offset, std::move(data), std::move(cb), attempts);
     };
   }
-  tracker_.expect(greq, acks_for(layout),
-                  make_write_completion(greq, std::move(cb), attempts_left, std::move(reissue)));
+  tracker_.expect(greq, acks_for(layout), make_completion(dfs::OpType::kWrite, greq, std::move(cb),
+                                                         attempts_left, std::move(reissue)));
   arm_write_deadline(greq);
   switch (layout.policy.resiliency) {
     case dfs::Resiliency::kNone:
@@ -419,7 +428,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
                                        greq, issued]() mutable {
       if (!node_.nic().cancel_read(greq)) return;  // answered or NACKed in time
       tracker_.cancel(greq);
-      note_op("read", "read_failed", false, greq, issued, cluster_.sim().now(), read_latency_q_);
+      note_op("read", "read_failed", false, greq, issued, cluster_.sim().now(), &read_latency_q_);
       ++op_timeouts_;
       if (attempts_left == 0) {
         (*shared_cb)(dfs::DfsError::kTimeout, Bytes{}, cluster_.sim().now());
@@ -441,7 +450,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
       OpCb([this, coord, cap, len, shared_cb, attempts_left, greq,
             issued](dfs::DfsError err, TimePs at) mutable {
         node_.nic().cancel_read(greq);
-        note_op("read", "read_failed", false, greq, issued, at, read_latency_q_);
+        note_op("read", "read_failed", false, greq, issued, at, &read_latency_q_);
         if (attempts_left == 0 || !transient_error(err)) {
           (*shared_cb)(err, Bytes{}, at);
           return;
@@ -456,7 +465,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
   node_.nic().expect_read_response(
       greq, len, [this, greq, issued, shared_cb](Bytes data, TimePs at) {
         tracker_.cancel(greq);
-        note_op("read", "read_failed", true, greq, issued, at, read_latency_q_);
+        note_op("read", "read_failed", true, greq, issued, at, &read_latency_q_);
         (*shared_cb)(dfs::DfsError::kOk, std::move(data), at);
       });
   dfs::DfsHeader hdr;
@@ -484,8 +493,8 @@ void Client::start_extent_write(const dfs::Coord& coord, const auth::Capability&
       start_extent_write(coord, cap, std::move(data), std::move(cb), attempts);
     };
   }
-  tracker_.expect(greq, 1,
-                  make_write_completion(greq, std::move(cb), attempts_left, std::move(reissue)));
+  tracker_.expect(greq, 1, make_completion(dfs::OpType::kWrite, greq, std::move(cb), attempts_left,
+                                           std::move(reissue)));
   arm_write_deadline(greq);
   dfs::DfsHeader hdr;
   hdr.op = dfs::OpType::kWrite;
@@ -521,7 +530,7 @@ void Client::start_extent_op(dfs::OpType op, const dfs::Coord& coord,
     };
   }
   tracker_.expect(greq, 1,
-                  make_write_completion(greq, std::move(cb), attempts_left, std::move(reissue)));
+                  make_completion(op, greq, std::move(cb), attempts_left, std::move(reissue)));
   arm_write_deadline(greq);
   dfs::DfsHeader hdr;
   hdr.op = op;

@@ -229,10 +229,11 @@ class Client {
   /// Single-packet extent op (kTrim / kStat) with the write retry loop.
   void start_extent_op(dfs::OpType op, const dfs::Coord& coord, const auth::Capability& cap,
                        std::uint64_t len, OpCb cb, unsigned attempts_left);
-  /// Wrap a write completion with deny/timeout-retry bookkeeping and arm
-  /// the deadline event for `greq` (no-op with timeouts disabled).
-  OpCb make_write_completion(std::uint64_t greq, OpCb cb, unsigned attempts_left,
-                             std::function<void(unsigned)> reissue);
+  /// Wrap the completion of a write, trim or stat attempt (`op`) with its
+  /// client-op span, the write latency sample (writes only) and
+  /// deny/timeout-retry bookkeeping.
+  OpCb make_completion(dfs::OpType op, std::uint64_t greq, OpCb cb, unsigned attempts_left,
+                       std::function<void(unsigned)> reissue);
   void arm_write_deadline(std::uint64_t greq);
   TimePs retry_delay(unsigned attempts_left) const;
   void striped_write(const FileLayout& layout, const auth::Capability& cap,
@@ -240,9 +241,10 @@ class Client {
   void striped_read(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
                     std::uint32_t len, ReadCb cb);
 
-  /// Op-attempt span + latency sample; `name`/`failed_name` are static.
+  /// Op-attempt span + latency sample into `sketch` (none when null);
+  /// `name`/`failed_name` are static.
   void note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
-               TimePs issued, TimePs at, obs::QuantileSketch& sketch);
+               TimePs issued, TimePs at, obs::QuantileSketch* sketch);
 
   Cluster& cluster_;
   ClientNode& node_;

@@ -144,8 +144,8 @@ StorageEngine::TimedRead BetaTreeEngine::read_at(std::uint64_t addr, std::size_t
 TimePs BetaTreeEngine::trim(std::uint64_t addr, std::uint64_t len, TimePs earliest) {
   if (len == 0) return device_.reserve(0, earliest).end;
   ++trims_;
-  log_bytes_ += cfg_.tombstone_msg_bytes;
-  const auto w = device_.reserve(cfg_.tombstone_msg_bytes, earliest);
+  log_bytes_ += kTombstoneMsgBytes;
+  const auto w = device_.reserve(kTombstoneMsgBytes, earliest);
   const TimePs durable = w.end + cfg_.write_latency;
   Extent e;
   e.len = len;

@@ -78,9 +78,12 @@ class BetaTreeEngine final : public StorageEngine {
   Retained retained_bytes() const;
 
  private:
+  /// Buffer/WAL/flush cost of a range-delete message.
+  static constexpr std::uint64_t kTombstoneMsgBytes = 64;
+
   /// One extent of a run/memtable. A zero extent is a range-delete
   /// message: it reads as zeros and shadows older data, but costs only
-  /// `tombstone_msg_bytes` of buffer/WAL/flush traffic.
+  /// kTombstoneMsgBytes of buffer/WAL/flush traffic.
   struct Extent {
     std::shared_ptr<const Bytes> buf;  ///< null when zero == true
     std::uint64_t off = 0;             ///< first byte of the extent in *buf
@@ -105,7 +108,7 @@ class BetaTreeEngine final : public StorageEngine {
   };
 
   std::uint64_t extent_cost(const Extent& e) const {
-    return e.zero ? cfg_.tombstone_msg_bytes : e.len;
+    return e.zero ? kTombstoneMsgBytes : e.len;
   }
   /// Insert [start, start+e.len) into `run`, splitting/erasing whatever it
   /// overlaps (newest wins); keeps `cost` in sync with the run's contents.

@@ -59,7 +59,6 @@ struct EngineConfig {
   std::uint64_t memtable_bytes = 256 * KiB;   ///< freeze+flush trigger
   std::uint64_t buffer_capacity = 1 * MiB;    ///< total buffered bytes before writes stall
   unsigned fanout = 4;                        ///< runs per level before compaction
-  std::uint64_t tombstone_msg_bytes = 64;     ///< buffer/WAL cost of a range-delete message
 };
 
 /// Sparse 4 KiB page store — the functional backing bytes shared by the

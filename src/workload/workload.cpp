@@ -61,7 +61,6 @@ Engine::Engine(services::Cluster& cluster, EngineConfig cfg, std::vector<TenantS
   }
   if (total_weight_ <= 0.0) throw std::invalid_argument("workload::Engine: zero total weight");
   stats_.per_tenant_ops.assign(tenants_.size(), 0);
-  shards_.resize(clients_.size());
 }
 
 Engine::~Engine() = default;
@@ -95,7 +94,6 @@ void Engine::run() {
     start_closed_loop();
   }
   cluster_.sim().run();
-  merge_shards();
 }
 
 void Engine::schedule_open_loop() {
@@ -180,18 +178,16 @@ void Engine::execute_planned(const PlannedOp& p, int session) {
   Tenant& tenant = tenants_[p.tenant];
   Object& obj = tenant.objects[p.object];
   services::Client& client = *clients_[p.slot];
-  Shard& shard = shards_[p.slot];
   const std::size_t ti = p.tenant;
   const std::uint64_t oi = p.object;
   const std::uint32_t len = p.len;
-  const std::uint32_t slot = p.slot;
   const TimePs issued = cluster_.sim().now();
 
   if (p.op == 4) {
     // stat: metadata-served, completes inline (no data-plane traffic).
     const auto info = client.stat(obj.name);
-    ++shard.control_ops;
-    shard.digest += completion_hash(ti, oi, 4, info.length, info.exists ? 0 : 1, issued);
+    ++stats_.control_ops;
+    digest_ += completion_hash(ti, oi, 4, info.length, info.exists ? 0 : 1, issued);
     if (session >= 0) {
       cluster_.sim().schedule(std::max<TimePs>(1, cfg_.think_time),
                               [this, session] { issue_session_op(static_cast<unsigned>(session)); });
@@ -199,23 +195,22 @@ void Engine::execute_planned(const PlannedOp& p, int session) {
     return;
   }
 
-  ++shard.offered;
-  shard.offered_bytes += len;
+  ++stats_.offered;
+  stats_.offered_bytes += len;
   if (p.op == 1) {
     client.read_at(obj.layout, obj.cap, p.offset, len,
-                   services::ReadCb([this, ti, oi, len, session, slot, issued](dfs::DfsError err,
-                                                                               Bytes, TimePs at) {
-                     complete(ti, oi, 1, len, session, slot, err, issued, at);
+                   services::ReadCb([this, ti, oi, len, session, issued](dfs::DfsError err, Bytes,
+                                                                         TimePs at) {
+                     complete(ti, oi, 1, len, session, err, issued, at);
                    }));
     return;
   }
 
   Bytes data(len, p.fill);
-  auto on_done = [this, ti, oi, len, session, slot, issued](unsigned op) {
-    return services::OpCb(
-        [this, ti, oi, op, len, session, slot, issued](dfs::DfsError err, TimePs at) {
-          complete(ti, oi, op, len, session, slot, err, issued, at);
-        });
+  auto on_done = [this, ti, oi, len, session, issued](unsigned op) {
+    return services::OpCb([this, ti, oi, op, len, session, issued](dfs::DfsError err, TimePs at) {
+      complete(ti, oi, op, len, session, err, issued, at);
+    });
   };
   if (p.op == 0) {
     client.write_at(obj.layout, obj.cap, p.offset, std::move(data), on_done(0));
@@ -227,30 +222,30 @@ void Engine::execute_planned(const PlannedOp& p, int session) {
 void Engine::issue_one(int session) { execute_planned(draw_planned_op(), session); }
 
 void Engine::complete(std::size_t tenant_idx, std::uint64_t object_idx, unsigned op,
-                      std::uint32_t bytes, int session, std::uint32_t slot, dfs::DfsError err,
-                      TimePs issued, TimePs at) {
-  Shard& shard = shards_[slot];
+                      std::uint32_t bytes, int session, dfs::DfsError err, TimePs issued,
+                      TimePs at) {
   if (err == dfs::DfsError::kOk) {
-    ++shard.completed;
-    shard.bytes_ok += bytes;
+    ++stats_.completed;
+    stats_.bytes_ok += bytes;
     if (cfg_.goodput_window > 0) {
-      // Per-window goodput bucket (rolling-restart dip observable): a
-      // shard-local add, invisible to digests.
+      // Per-window goodput bucket (rolling-restart dip observable),
+      // invisible to digests.
+      auto& timeline = stats_.goodput_timeline;
       const std::size_t w = static_cast<std::size_t>(at / cfg_.goodput_window);
-      if (shard.window_bytes.size() <= w) shard.window_bytes.resize(w + 1, 0);
-      shard.window_bytes[w] += bytes;
+      if (timeline.size() <= w) timeline.resize(w + 1, 0);
+      timeline[w] += bytes;
     }
     const TimePs lat = at - issued;
-    shard.sum_latency += lat;
-    shard.max_latency = std::max(shard.max_latency, lat);
+    stats_.sum_latency += lat;
+    stats_.max_latency = std::max(stats_.max_latency, lat);
   } else {
-    ++shard.failed;
+    ++stats_.failed;
     const auto code = static_cast<std::size_t>(err);
-    if (code < shard.by_error.size()) ++shard.by_error[code];
+    if (code < stats_.by_error.size()) ++stats_.by_error[code];
   }
-  shard.last_completion = std::max(shard.last_completion, at);
-  shard.digest += completion_hash(tenant_idx, object_idx, op, bytes,
-                                  static_cast<std::uint64_t>(err), at);
+  stats_.last_completion = std::max(stats_.last_completion, at);
+  digest_ += completion_hash(tenant_idx, object_idx, op, bytes, static_cast<std::uint64_t>(err),
+                             at);
   if (session >= 0) {
     cluster_.sim().schedule(std::max<TimePs>(1, cfg_.think_time),
                             [this, session] { issue_session_op(static_cast<unsigned>(session)); });
@@ -260,9 +255,9 @@ void Engine::complete(std::size_t tenant_idx, std::uint64_t object_idx, unsigned
 std::uint64_t Engine::completion_hash(std::uint64_t tenant, std::uint64_t object,
                                       std::uint64_t op, std::uint64_t bytes, std::uint64_t err,
                                       std::uint64_t at) {
-  // FNV-1a over the completion record; callers *sum* the hashes into a
-  // shard digest so the fold is order-insensitive (completion *times*
-  // still pin the schedule).
+  // FNV-1a over the completion record; callers *sum* the hashes into the
+  // digest so the fold is order-insensitive (completion *times* still pin
+  // the schedule).
   std::uint64_t h = 1469598103934665603ull;
   for (const std::uint64_t v : {tenant, object, op, bytes, err, at}) {
     for (unsigned i = 0; i < 8; ++i) {
@@ -271,32 +266,6 @@ std::uint64_t Engine::completion_hash(std::uint64_t tenant, std::uint64_t object
     }
   }
   return h;
-}
-
-void Engine::merge_shards() {
-  // Commutative fold of the per-slot shards into the public Stats/digest:
-  // sums and maxes only, so the merged totals are independent of the
-  // shard order.
-  for (Shard& sh : shards_) {
-    stats_.offered += sh.offered;
-    stats_.offered_bytes += sh.offered_bytes;
-    stats_.completed += sh.completed;
-    stats_.failed += sh.failed;
-    for (std::size_t i = 0; i < sh.by_error.size(); ++i) stats_.by_error[i] += sh.by_error[i];
-    stats_.bytes_ok += sh.bytes_ok;
-    stats_.control_ops += sh.control_ops;
-    stats_.sum_latency += sh.sum_latency;
-    stats_.max_latency = std::max(stats_.max_latency, sh.max_latency);
-    stats_.last_completion = std::max(stats_.last_completion, sh.last_completion);
-    if (stats_.goodput_timeline.size() < sh.window_bytes.size()) {
-      stats_.goodput_timeline.resize(sh.window_bytes.size(), 0);
-    }
-    for (std::size_t i = 0; i < sh.window_bytes.size(); ++i) {
-      stats_.goodput_timeline[i] += sh.window_bytes[i];
-    }
-    digest_ += sh.digest;
-    sh = Shard{};
-  }
 }
 
 }  // namespace nadfs::workload

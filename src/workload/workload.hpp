@@ -24,9 +24,7 @@
 // Open-loop arrivals are fully pre-drawn: every random choice (tenant,
 // user, object, op, offset) is sampled at schedule time, before the
 // simulator runs, in the order event-time sampling used to consume the
-// Rng, so the schedule and every digest match the recorded pins. Event-time
-// bookkeeping lands in per-client-slot stat shards, folded into Stats and
-// the digest after the run.
+// Rng, so the schedule and every digest match the recorded pins.
 #pragma once
 
 #include <array>
@@ -100,7 +98,7 @@ struct EngineConfig {
   /// bucketed into windows of this width by completion time
   /// (Stats::goodput_timeline) — the observable for goodput *dips* during
   /// rolling restarts. 0 (default) keeps the timeline off. The bucketing
-  /// is a per-shard add, so it is digest-neutral.
+  /// is digest-neutral.
   TimePs goodput_window = 0;
   std::uint64_t seed = 1;
   /// Client-side retry/timeout knobs applied to the pooled clients.
@@ -190,24 +188,6 @@ class Engine {
     std::uint8_t fill = 0;  ///< payload fill byte (user ^ object)
   };
 
-  /// Per-client-slot stats shard. Every event-time mutation lands in the
-  /// issuing slot's shard; the end-of-run merge (sums plus maxes, digest
-  /// summed) is order-insensitive.
-  struct Shard {
-    std::uint64_t offered = 0;
-    std::uint64_t offered_bytes = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::array<std::uint64_t, 10> by_error{};
-    std::uint64_t bytes_ok = 0;
-    std::uint64_t control_ops = 0;
-    TimePs sum_latency = 0;
-    TimePs max_latency = 0;
-    TimePs last_completion = 0;
-    std::uint64_t digest = 0;  ///< summed completion hashes
-    std::vector<std::uint64_t> window_bytes;  ///< per-window bytes_ok buckets
-  };
-
   void schedule_open_loop();
   void start_closed_loop();
   void issue_session_op(unsigned session);
@@ -221,13 +201,12 @@ class Engine {
   /// closed-loop session to rearm on completion (-1 for open loop).
   void execute_planned(const PlannedOp& op, int session = -1);
   void complete(std::size_t tenant_idx, std::uint64_t object_idx, unsigned op,
-                std::uint32_t bytes, int session, std::uint32_t slot, dfs::DfsError err,
+                std::uint32_t bytes, int session, dfs::DfsError err,
                 TimePs issued, TimePs at);
   /// Order-insensitive FNV-1a hash of one completion record.
   static std::uint64_t completion_hash(std::uint64_t tenant, std::uint64_t object,
                                        std::uint64_t op, std::uint64_t bytes, std::uint64_t err,
                                        std::uint64_t at);
-  void merge_shards();
 
   services::Cluster& cluster_;
   EngineConfig cfg_;
@@ -235,7 +214,6 @@ class Engine {
   std::vector<std::unique_ptr<services::Client>> clients_;
   Rng rng_;
   Stats stats_;
-  std::vector<Shard> shards_;  ///< one per client slot
   std::uint64_t digest_ = 1469598103934665603ull;  ///< FNV-1a offset basis
   double total_weight_ = 0.0;
   bool setup_done_ = false;

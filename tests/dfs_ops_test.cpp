@@ -11,6 +11,7 @@
 #include <limits>
 #include <optional>
 
+#include "obs/span.hpp"
 #include "services/client.hpp"
 #include "services/host_dfs.hpp"
 
@@ -391,6 +392,38 @@ TEST(DfsOps, TrimTombstonesAndWriteRevivesTheExtent) {
               }));
   cluster.sim().run();
   EXPECT_EQ(back, fill(4 * KiB, 0x7E));
+}
+
+TEST(DfsOps, ExtentTrimAndStatAreNotCountedAsWrites) {
+  Cluster cluster;
+  obs::SpanTracer tracer;
+  cluster.set_tracer(&tracer);
+  Client client(cluster, 0);
+  ASSERT_EQ(client.create("f", 4 * KiB, {}), DfsError::kOk);
+  const auto layout = *cluster.metadata().lookup("f");  // keep a copy past the remove
+  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
+
+  DfsError wrote = DfsError::kTimeout, stat = DfsError::kTimeout, rm = DfsError::kTimeout;
+  client.write(layout, cap, fill(4 * KiB, 0x3C), OpCb([&](DfsError e, TimePs) { wrote = e; }));
+  cluster.sim().run();
+  client.stat_extent(layout.targets[0], cap, layout.size,
+                     OpCb([&](DfsError e, TimePs) { stat = e; }));
+  cluster.sim().run();
+  client.remove("f", cap, OpCb([&](DfsError e, TimePs) { rm = e; }));  // one trim
+  cluster.sim().run();
+  ASSERT_EQ(wrote, DfsError::kOk);
+  ASSERT_EQ(stat, DfsError::kOk);
+  ASSERT_EQ(rm, DfsError::kOk);
+
+  // Only the write is a write: one latency sample, and the client-op spans
+  // carry each op's own name.
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "span and sketch hooks compiled out";
+  EXPECT_EQ(client.write_latency_sketch().count(), 1u);
+  std::vector<std::string> ops;
+  for (const auto& span : tracer.spans()) {
+    if (span.lane == obs::kLaneClientOp) ops.emplace_back(span.name);
+  }
+  EXPECT_EQ(ops, (std::vector<std::string>{"write", "stat", "trim"}));
 }
 
 // ------------------------------------------------- host-CPU service twin
