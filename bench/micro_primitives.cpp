@@ -240,7 +240,7 @@ void BM_BuildWritePackets(benchmark::State& state) {
   dfs::WriteRequestHeader wrh;
   wrh.total_len = size;
   for (auto _ : state) {
-    auto pkts = dfs::build_write_packets(0, 1, 2048, hdr, wrh, data);
+    auto pkts = dfs::build_request_packets(0, 1, 2048, hdr, wrh, data);
     benchmark::DoNotOptimize(pkts.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "net/network.hpp"
+#include "net/train.hpp"
 #include "pspin/device.hpp"
 #include "rdma/nic.hpp"
 #include "sim/simulator.hpp"
@@ -87,12 +88,8 @@ spin::ExecutionContext make_checksum_context(std::shared_ptr<ChecksumState> st) 
     w.put(it->second.hash);
     c.dma_to_storage(it->second.dest - 8, std::move(sum));
     c.storage_fence();
-    net::Packet ack;
-    ack.dst = pkt.src;
-    ack.opcode = net::Opcode::kAck;
-    ack.msg_id = pkt.msg_id;
-    ack.user_tag = it->second.hash;  // checksum rides back in the ack
-    c.send(std::move(ack));
+    // The checksum rides back in the ack's tag.
+    c.send(net::packet(c.self(), pkt.src, net::Opcode::kAck, pkt.msg_id, it->second.hash));
     ++st->writes_checksummed;
     st->live.erase(it);
   };
@@ -119,7 +116,9 @@ int main() {
   pspin.install(make_checksum_context(state));
   std::printf("custom checksummed-store policy installed on node %u's NIC\n", server.id());
 
-  // Client: build the custom wire format by hand (header in packet 0).
+  // Client: the custom wire format is the custom header in packet 0, then
+  // the data; net::cut numbers the train and gives each packet its data
+  // offset in raddr.
   Rng rng(7);
   Bytes data(50000);
   for (auto& b : data) b = rng.next_byte();
@@ -129,34 +128,8 @@ int main() {
   ByteWriter w(first);
   w.put(dest);
   w.put<std::uint64_t>(data.size());
-
-  std::vector<net::Packet> pkts;
-  std::size_t off = 0;
-  const std::size_t mtu = network.mtu();
-  const std::size_t first_data = mtu - first.size();
-  const auto count =
-      static_cast<std::uint32_t>(1 + (data.size() - first_data + mtu - 1) / mtu);
-  for (std::uint32_t s = 0; s < count; ++s) {
-    net::Packet p;
-    p.dst = server.id();
-    p.opcode = net::Opcode::kRdmaWrite;
-    p.msg_id = 1;
-    p.seq = s;
-    p.pkt_count = count;
-    if (s == 0) {
-      p.data = first;
-      p.data.insert(p.data.end(), data.begin(),
-                    data.begin() + static_cast<std::ptrdiff_t>(first_data));
-      off = first_data;
-    } else {
-      p.raddr = off;
-      const std::size_t n = std::min(mtu, data.size() - off);
-      p.data.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                    data.begin() + static_cast<std::ptrdiff_t>(off + n));
-      off += n;
-    }
-    pkts.push_back(std::move(p));
-  }
+  auto pkts = net::cut(net::packet(client.id(), server.id(), net::Opcode::kRdmaWrite, 1, 0),
+                       first, data, network.mtu());
 
   std::uint64_t acked_hash = 0;
   TimePs done = 0;

@@ -38,16 +38,13 @@ int main() {
   Rng rng(1);
   Bytes partial(200 * KiB);
   for (auto& b : partial) b = rng.next_byte();
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = victim.next_greq();
-  hdr.client_node = victim.node().id();
-  hdr.cap = cap_doomed;
+  const dfs::DfsHeader hdr{dfs::OpType::kWrite, victim.next_greq(), victim.node().id(),
+                           cap_doomed};
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = doomed.targets[0].addr;
   wrh.total_len = partial.size();
-  auto pkts = dfs::build_write_packets(victim.node().id(), node.id(), cluster.network().mtu(),
-                                       hdr, wrh, partial);
+  auto pkts = dfs::build_request_packets(victim.node().id(), node.id(), cluster.network().mtu(),
+                                         hdr, wrh, partial);
   std::printf("victim client starts a %zu-packet write, crashes after 3 packets\n",
               pkts.size());
   pkts.resize(3);

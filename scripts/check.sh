@@ -65,14 +65,18 @@ done
 # ran them under seed 1; under CHECK_SANITIZE=1 this also puts the whole
 # fault path (deadline events, AckTracker::take, Nic::cancel_read, recovery
 # fallback) under ASan/UBSan. Failures print the fault counters. The
-# packet-admission regressions ride along: DuplicatePackets (duplicated,
-# out-of-range and recounted packets at every reassembly point; under the
-# sanitizer an out-of-range seq stored by index fails loudly) and
-# ExtentBounds (writes stay inside the capability's extent).
+# wire regressions ride along: DuplicatePackets (duplicated, out-of-range
+# and recounted packets at every reassembly point; under the sanitizer an
+# out-of-range seq stored by index fails loudly), ExtentBounds (writes stay
+# inside the capability's extent), MalformedWrite/MalformedRpc/Wire
+# (headers that do not parse are refused, never acked; under the sanitizer
+# a parity coordinate read past its list fails loudly), and the packet-train
+# suites: BuildWritePackets (every cutter input), Reassembly,
+# ForgedPacketCount and ReadPath (exact bytes on every read-response train).
 for seed in 1 7; do
-  echo "== chaos/fault suites under NADFS_CHAOS_SEED=$seed"
+  echo "== chaos/fault + wire suites under NADFS_CHAOS_SEED=$seed"
   NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|DuplicatePackets|ExtentBounds'
+    -R 'Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|DuplicatePackets|ExtentBounds|MalformedWrite|MalformedRpc|Wire|BuildWritePackets|Reassembly|ForgedPacketCount|ReadPath'
 done
 
 # Fabric partition chaos under both seeds (also covered by the loop above;

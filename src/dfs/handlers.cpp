@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dfs/costs.hpp"
+#include "net/train.hpp"
 
 namespace nadfs::dfs {
 
@@ -37,23 +38,10 @@ namespace {
 using spin::HandlerCtx;
 using spin::MessageKey;
 
-/// Serialize the headers a forwarded first packet carries: the unchanged
-/// DFS header plus a WRH rewritten for the receiving node.
-Bytes rewrite_headers(const DfsHeader& dfs, const WriteRequestHeader& wrh) {
-  return serialize_write_headers(dfs, wrh);
-}
-
+/// Answer request `greq` with a control packet carrying the typed `err`.
 void send_control(HandlerCtx& ctx, net::NodeId dst, net::Opcode opcode, std::uint64_t greq,
                   DfsError err = DfsError::kOk) {
-  net::Packet p;
-  p.dst = dst;
-  p.opcode = opcode;
-  p.msg_id = greq;
-  p.seq = 0;
-  p.pkt_count = 1;
-  p.user_tag = greq;
-  p.raddr = static_cast<std::uint64_t>(err);  // typed error rides the unused raddr
-  ctx.send(std::move(p));
+  ctx.send(net::packet(ctx.self(), dst, opcode, greq, greq, static_cast<std::uint64_t>(err)));
 }
 
 // ---------------------------------------------------------------- HH ----
@@ -162,7 +150,7 @@ void header_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
         child_wrh.virtual_rank = child;
         child_wrh.dest_addr = wrh.replicas[child].addr;
         entry.children.push_back(
-            ReqEntry::Child{wrh.replicas[child], rewrite_headers(req.dfs, child_wrh)});
+            ReqEntry::Child{wrh.replicas[child], serialize_write_headers(req.dfs, child_wrh)});
       }
       break;
     }
@@ -179,7 +167,7 @@ void header_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
           WriteRequestHeader pw = wrh;
           pw.role = EcRole::kParity;
           pw.dest_addr = wrh.parity_nodes[i].addr;
-          entry.parity_first_headers.push_back(rewrite_headers(req.dfs, pw));
+          entry.parity_first_headers.push_back(serialize_write_headers(req.dfs, pw));
         }
       }
       break;
@@ -194,14 +182,10 @@ void header_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
 /// child's rewritten headers, later packets are byte-identical.
 void forward_packet(HandlerCtx& ctx, const net::Packet& pkt, std::size_t header_bytes,
                     const Coord& to, const Bytes& first_headers, std::uint64_t greq) {
-  net::Packet p;
-  p.dst = to.node;
-  p.opcode = net::Opcode::kRdmaWrite;
-  p.msg_id = pkt.msg_id;
+  net::Packet p =
+      net::packet(ctx.self(), to.node, net::Opcode::kRdmaWrite, pkt.msg_id, greq, pkt.raddr);
   p.seq = pkt.seq;
   p.pkt_count = pkt.pkt_count;
-  p.raddr = pkt.raddr;
-  p.user_tag = greq;
   if (pkt.first()) {
     p.data = first_headers;
     p.data.insert(p.data.end(), pkt.data.begin() + static_cast<std::ptrdiff_t>(header_bytes),
@@ -230,14 +214,11 @@ void payload_ec_data(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt, ReqE
   std::vector<net::Packet> out(m);
   std::vector<std::uint8_t*> dsts(m);
   for (unsigned i = 0; i < m; ++i) {
-    net::Packet& p = out[i];
-    p.dst = entry.parity_nodes[i].node;
-    p.opcode = net::Opcode::kRdmaWrite;
-    p.msg_id = pkt.msg_id;
+    net::Packet& p = out[i] = net::packet(ctx.self(), entry.parity_nodes[i].node,
+                                          net::Opcode::kRdmaWrite, pkt.msg_id, entry.greq_id,
+                                          pkt.raddr);
     p.seq = pkt.seq;
     p.pkt_count = pkt.pkt_count;
-    p.raddr = pkt.raddr;
-    p.user_tag = entry.greq_id;
     if (pkt.first()) {
       p.data = entry.parity_first_headers[i];
       p.data.resize(p.data.size() + payload.size());
@@ -418,21 +399,17 @@ void completion_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
     // the wire instead of store-and-forwarding the whole extent.
     const std::size_t mtu = st.cfg.mtu;
     const std::size_t len = entry.rrh.len;
-    const auto count =
-        static_cast<std::uint32_t>(std::max<std::size_t>(1, (len + mtu - 1) / mtu));
+    const std::uint32_t count = net::packet_count(len, mtu);
     ctx.charge(cost::kReadChBaseInstr, cost::kReadChBaseCycles);
     std::size_t off = 0;
     for (std::uint32_t s = 0; s < count; ++s) {
       // Charge the descriptor post per packet so each send issues as soon
       // as its descriptor is ready (the loop pipelines with the wire).
       ctx.charge(cost::kReadChPerPktInstr, cost::kReadChPerPktCycles);
-      net::Packet p;
-      p.dst = entry.client;
-      p.opcode = net::Opcode::kRdmaReadResp;
-      p.msg_id = entry.greq_id;
+      net::Packet p = net::packet(ctx.self(), entry.client, net::Opcode::kRdmaReadResp,
+                                  entry.greq_id, entry.greq_id, off);
       p.seq = s;
       p.pkt_count = count;
-      p.user_tag = entry.greq_id;
       const std::size_t n = std::min(mtu, len - off);
       ctx.send_from_storage(std::move(p), entry.rrh.src_addr + off, n);
       off += n;

@@ -1,6 +1,5 @@
 #include "dfs/wire.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nadfs::dfs {
@@ -102,6 +101,14 @@ std::vector<Coord> get_coords(ByteReader& r) {
   }
   return coords;
 }
+
+/// Read an enum byte, rejecting values past `last` like a truncated header.
+template <class Enum>
+Enum get_enum(ByteReader& r, Enum last) {
+  const auto v = r.get<std::uint8_t>();
+  if (v > static_cast<std::uint8_t>(last)) throw std::out_of_range("WRH: unknown enum value");
+  return static_cast<Enum>(v);
+}
 }  // namespace
 
 void WriteRequestHeader::serialize(ByteWriter& w) const {
@@ -130,21 +137,27 @@ WriteRequestHeader WriteRequestHeader::deserialize(ByteReader& r) {
   WriteRequestHeader h;
   h.dest_addr = r.get<std::uint64_t>();
   h.total_len = r.get<std::uint64_t>();
-  h.resiliency = static_cast<Resiliency>(r.get<std::uint8_t>());
+  h.resiliency = get_enum(r, Resiliency::kErasureCoding);
   switch (h.resiliency) {
     case Resiliency::kNone:
       break;
     case Resiliency::kReplication:
-      h.strategy = static_cast<ReplStrategy>(r.get<std::uint8_t>());
+      h.strategy = get_enum(r, ReplStrategy::kPbt);
       h.virtual_rank = r.get<std::uint8_t>();
       h.replicas = get_coords(r);
       break;
     case Resiliency::kErasureCoding:
       h.ec_k = r.get<std::uint8_t>();
       h.ec_m = r.get<std::uint8_t>();
-      h.role = static_cast<EcRole>(r.get<std::uint8_t>());
+      h.role = get_enum(r, EcRole::kParity);
       h.data_idx = r.get<std::uint8_t>();
       h.parity_nodes = get_coords(r);
+      // Only a valid RS(k, m) stream with its m parity coordinates gets
+      // past the parser: the codec and the parity fan-out trust these.
+      if (h.ec_k == 0 || h.ec_m == 0 || h.ec_k + h.ec_m > 256 || h.data_idx >= h.ec_k ||
+          h.parity_nodes.size() != h.ec_m) {
+        throw std::out_of_range("WRH: invalid erasure-coding parameters");
+      }
       break;
   }
   return h;
@@ -204,96 +217,6 @@ ParsedRequest parse_request(ByteSpan first_packet_payload) {
   }
   out.header_bytes = r.position();
   return out;
-}
-
-std::vector<net::Packet> build_write_packets(net::NodeId src, net::NodeId dst, std::size_t mtu,
-                                             const DfsHeader& dfs, const WriteRequestHeader& wrh,
-                                             ByteSpan data) {
-  Bytes first;
-  ByteWriter w(first);
-  dfs.serialize(w);
-  wrh.serialize(w);
-  if (first.size() >= mtu) {
-    throw std::length_error("build_write_packets: DFS headers exceed a single packet");
-  }
-
-  const std::size_t first_data = std::min(mtu - first.size(), data.size());
-  const std::size_t rest = data.size() - first_data;
-  const auto count = static_cast<std::uint32_t>(1 + (rest + mtu - 1) / mtu);
-
-  std::vector<net::Packet> pkts;
-  pkts.reserve(count);
-
-  net::Packet p0;
-  p0.src = src;
-  p0.dst = dst;
-  p0.opcode = net::Opcode::kRdmaWrite;
-  p0.msg_id = dfs.greq_id;
-  p0.seq = 0;
-  p0.pkt_count = count;
-  p0.raddr = 0;  // data offset
-  p0.user_tag = dfs.greq_id;
-  p0.data = std::move(first);
-  p0.data.insert(p0.data.end(), data.begin(), data.begin() + static_cast<std::ptrdiff_t>(first_data));
-  pkts.push_back(std::move(p0));
-
-  std::size_t off = first_data;
-  for (std::uint32_t s = 1; s < count; ++s) {
-    net::Packet p;
-    p.src = src;
-    p.dst = dst;
-    p.opcode = net::Opcode::kRdmaWrite;
-    p.msg_id = dfs.greq_id;
-    p.seq = s;
-    p.pkt_count = count;
-    p.raddr = off;
-    p.user_tag = dfs.greq_id;
-    const std::size_t n = std::min(mtu, data.size() - off);
-    p.data.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    off += n;
-    pkts.push_back(std::move(p));
-  }
-  return pkts;
-}
-
-std::vector<net::Packet> build_read_packets(net::NodeId src, net::NodeId dst,
-                                            const DfsHeader& dfs, const ReadRequestHeader& rrh) {
-  Bytes payload;
-  ByteWriter w(payload);
-  dfs.serialize(w);
-  rrh.serialize(w);
-
-  net::Packet p;
-  p.src = src;
-  p.dst = dst;
-  p.opcode = net::Opcode::kRdmaWrite;  // read *requests* ride the write path into sPIN
-  p.msg_id = dfs.greq_id;
-  p.seq = 0;
-  p.pkt_count = 1;
-  p.user_tag = dfs.greq_id;
-  p.data = std::move(payload);
-  return {std::move(p)};
-}
-
-std::vector<net::Packet> build_extent_packets(net::NodeId src, net::NodeId dst,
-                                              const DfsHeader& dfs,
-                                              const ExtentRequestHeader& erh) {
-  Bytes payload;
-  ByteWriter w(payload);
-  dfs.serialize(w);
-  erh.serialize(w);
-
-  net::Packet p;
-  p.src = src;
-  p.dst = dst;
-  p.opcode = net::Opcode::kRdmaWrite;  // extent ops ride the write path into sPIN too
-  p.msg_id = dfs.greq_id;
-  p.seq = 0;
-  p.pkt_count = 1;
-  p.user_tag = dfs.greq_id;
-  p.data = std::move(payload);
-  return {std::move(p)};
 }
 
 }  // namespace nadfs::dfs

@@ -21,6 +21,7 @@
 #include "auth/capability.hpp"
 #include "common/bytes.hpp"
 #include "net/packet.hpp"
+#include "net/train.hpp"
 
 namespace nadfs::dfs {
 
@@ -136,23 +137,24 @@ struct ParsedRequest {
 
 ParsedRequest parse_request(ByteSpan first_packet_payload);
 
-/// Build the packet train for a DFS write. `data_offset` semantics: each
-/// packet's `raddr` carries the byte offset of its payload within the
-/// write's data (handlers add the WRH's dest_addr). msg_id is set to the
-/// request's greq_id so forwarded hops keep globally unique message keys.
-std::vector<net::Packet> build_write_packets(net::NodeId src, net::NodeId dst, std::size_t mtu,
-                                             const DfsHeader& dfs, const WriteRequestHeader& wrh,
-                                             ByteSpan data);
-
-/// Build the single-packet train for a DFS read request.
-std::vector<net::Packet> build_read_packets(net::NodeId src, net::NodeId dst,
-                                            const DfsHeader& dfs, const ReadRequestHeader& rrh);
-
-/// Build the single-packet train for a DFS extent op (kTrim / kStat; the op
-/// comes from `dfs.op`).
-std::vector<net::Packet> build_extent_packets(net::NodeId src, net::NodeId dst,
-                                              const DfsHeader& dfs,
-                                              const ExtentRequestHeader& erh);
+/// Build the packet train of a DFS request (Fig. 3): packet 0 carries the
+/// DFS header and `op_header` — the WRH of a write or append, the RRH of a
+/// read, the extent header of a trim or stat — and the write's `data`
+/// follows (net::cut). Each packet's `raddr` carries the byte offset of its
+/// payload within the data (handlers add the WRH's dest_addr). msg_id and
+/// user_tag are the request's greq_id, so forwarded hops keep globally
+/// unique message keys. Requests ride the write path into sPIN.
+template <class OpHeader>
+std::vector<net::Packet> build_request_packets(net::NodeId src, net::NodeId dst, std::size_t mtu,
+                                               const DfsHeader& dfs, const OpHeader& op_header,
+                                               ByteSpan data = {}) {
+  Bytes head;
+  ByteWriter w(head);
+  dfs.serialize(w);
+  op_header.serialize(w);
+  return net::cut(net::packet(src, dst, net::Opcode::kRdmaWrite, dfs.greq_id, dfs.greq_id), head,
+                  data, mtu);
+}
 
 /// Serialize [DFS header | WRH] — the first-packet header block. Used by
 /// forwarding paths (sPIN handlers and the host DFS service) to rewrite a

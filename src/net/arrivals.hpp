@@ -1,9 +1,10 @@
 // Which packets of a multi-packet message count as its arrivals.
 //
 // Every reassembly point (the PsPIN message table, the NIC's host-path
-// write/send/DFS-request assemblies and its pending reads) counts a
-// message's arrivals by *distinct* seq, so a duplicated packet can neither
-// complete a message early nor run a handler twice.
+// write assemblies, net::Reassembly for its send and DFS-request messages,
+// and its pending reads) counts a message's arrivals by *distinct* seq, so
+// a duplicated packet can neither complete a message early nor run a
+// handler twice.
 #pragma once
 
 #include <algorithm>
@@ -20,9 +21,12 @@ namespace nadfs::net {
 /// so a forged packet count cannot make it reserve memory.
 class SeqSet {
  public:
+  /// Seqs tracked in the inline mask.
+  static constexpr std::uint32_t kInlineSeqs = 64;
+
   /// Record `seq`; false when it was already recorded.
   bool insert(std::uint32_t seq) {
-    if (seq < 64) {
+    if (seq < kInlineSeqs) {
       const std::uint64_t bit = std::uint64_t{1} << seq;
       if ((low_ & bit) != 0) return false;
       low_ |= bit;

@@ -1,6 +1,7 @@
 #include "protocols/inec.hpp"
 
 #include "ec/reed_solomon.hpp"
+#include "net/train.hpp"
 
 namespace nadfs::protocols {
 
@@ -53,9 +54,9 @@ void InecTriEc::install_server(services::StorageNode& node) {
         // Send the intermediate parity to parity node p's staging slot.
         const std::uint64_t dst_addr = op.parity[p].addr + op.chunk_len * (1 + op.data_idx);
         const std::uint64_t tag = (token << 16) | kParityBit | op.data_idx;
-        auto pkts = node.nic().packetize_write(op.parity[p].node, dst_addr, 0, inter[p],
-                                               node.nic().alloc_msg_id(), tag);
-        for (auto& pkt : pkts) {
+        const auto proto = net::packet(node.id(), op.parity[p].node, net::Opcode::kRdmaWrite,
+                                       node.nic().alloc_msg_id(), tag, dst_addr);
+        for (auto& pkt : net::cut(proto, {}, inter[p], node.nic().network().mtu())) {
           node.nic().egress_send(std::move(pkt), encoded);
         }
       }

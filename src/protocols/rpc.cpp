@@ -1,10 +1,13 @@
 #include "protocols/rpc.hpp"
 
+#include <optional>
+
 namespace nadfs::protocols {
 
 namespace {
 
-/// Wire format of the RPC+RDMA descriptor appended after DFS hdr + WRH.
+/// Wire format of the RPC+RDMA descriptor appended after DFS hdr + WRH
+/// (16 bytes, no padding).
 struct RdmaDescriptor {
   std::uint64_t client_addr;
   std::uint32_t client_rkey;
@@ -14,21 +17,29 @@ struct RdmaDescriptor {
 constexpr std::uint8_t kStatusOk = 0;
 constexpr std::uint8_t kStatusDenied = 1;
 
-Bytes encode_request(const dfs::DfsHeader& hdr, const dfs::WriteRequestHeader& wrh,
-                     ByteSpan payload) {
-  Bytes out;
-  ByteWriter w(out);
-  hdr.serialize(w);
-  wrh.serialize(w);
-  w.put_bytes(payload);
-  return out;
+/// Parse `msg` and validate it the way the sPIN header handler's
+/// DFS_request_init does. A request that does not parse (truncated, or
+/// headers out of range) fails validation like one with a bad capability.
+std::optional<dfs::ParsedRequest> validated(const auth::CapabilityAuthority& authority,
+                                            ByteSpan msg, std::size_t trailer, TimePs now) {
+  try {
+    auto req = dfs::parse_request(msg);
+    if (msg.size() - req.header_bytes >= trailer &&
+        authority.verify(req.dfs.cap, now, auth::Right::kWrite, req.wrh.dest_addr,
+                         req.wrh.total_len)) {
+      return req;
+    }
+  } catch (const std::out_of_range&) {
+  }
+  return std::nullopt;
 }
 
-/// Validation identical to the sPIN header handler's DFS_request_init.
-bool validate(const auth::CapabilityAuthority& authority, const dfs::ParsedRequest& req,
-              TimePs now) {
-  return authority.verify(req.dfs.cap, now, auth::Right::kWrite, req.wrh.dest_addr,
-                          req.wrh.total_len);
+/// Count a failed validation and answer kStatusDenied once dispatched.
+void deny(services::StorageNode& node, std::uint64_t& failures, net::NodeId src,
+          std::uint64_t tag, TimePs dispatched) {
+  ++failures;
+  node.cpu().run(0, dispatched,
+                 [&node, src, tag]() { node.nic().post_send(src, tag, Bytes{kStatusDenied}); });
 }
 
 /// Park `cb` under the request's `tag` and route `client`'s replies through
@@ -64,19 +75,16 @@ RpcWrite::RpcWrite(Cluster& cluster) : cluster_(cluster) {
       // Dispatch + validate on a core, starting after the NIC notified us.
       const TimePs dispatched =
           cpu.busy(ccfg.rpc_dispatch + ccfg.validate_cost, at + ccfg.notify_latency);
-      const auto req = dfs::parse_request(msg);
-      if (!validate(*authority, req, dispatched)) {
-        ++*failures;
-        node.cpu().run(0, dispatched, [&node, src, tag]() {
-          node.nic().post_send(src, tag, Bytes{kStatusDenied});
-        });
+      const auto req = validated(*authority, msg, 0, dispatched);
+      if (!req) {
+        deny(node, *failures, src, tag, dispatched);
         return;
       }
       // Bounce-buffer copy (the RPC penalty of Fig. 6), then commit.
-      const std::size_t payload = msg.size() - req.header_bytes;
+      const std::size_t payload = msg.size() - req->header_bytes;
       const TimePs copied = cpu.copy(payload, dispatched);
       const TimePs durable = node.target().write(
-          req.wrh.dest_addr, ByteSpan(msg.data() + req.header_bytes, payload), copied);
+          req->wrh.dest_addr, ByteSpan(msg.data() + req->header_bytes, payload), copied);
       node.cpu().run(0, durable, [&node, src, tag]() {
         node.nic().post_send(src, tag, Bytes{kStatusOk});
       });
@@ -86,18 +94,15 @@ RpcWrite::RpcWrite(Cluster& cluster) : cluster_(cluster) {
 
 void RpcWrite::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
                      Bytes data, OpCb cb) {
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = client.next_greq();
-  hdr.client_node = client.node().id();
-  hdr.cap = cap;
+  const dfs::DfsHeader hdr{dfs::OpType::kWrite, client.next_greq(), client.node().id(), cap};
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = layout.targets.front().addr;
   wrh.total_len = data.size();
+  Bytes req = dfs::serialize_write_headers(hdr, wrh);
+  req.insert(req.end(), data.begin(), data.end());
 
   await_reply(client, pending_, hdr.greq_id, std::move(cb));
-  client.node().nic().post_send(layout.targets.front().node, hdr.greq_id,
-                                encode_request(hdr, wrh, data));
+  client.node().nic().post_send(layout.targets.front().node, hdr.greq_id, std::move(req));
 }
 
 // ------------------------------------------------------------- RPC+RDMA
@@ -114,22 +119,18 @@ RpcRdmaWrite::RpcRdmaWrite(Cluster& cluster) : cluster_(cluster) {
       const auto& ccfg = cpu.config();
       const TimePs dispatched =
           cpu.busy(ccfg.rpc_dispatch + ccfg.validate_cost, at + ccfg.notify_latency);
-      const auto req = dfs::parse_request(msg);
-      ByteReader r(ByteSpan(msg.data() + req.header_bytes, msg.size() - req.header_bytes));
+      const auto req = validated(*authority, msg, sizeof(RdmaDescriptor), dispatched);
+      if (!req) {
+        deny(node, *failures, src, tag, dispatched);
+        return;
+      }
+      ByteReader r(ByteSpan(msg.data() + req->header_bytes, msg.size() - req->header_bytes));
       const auto client_addr = r.get<std::uint64_t>();
       const auto client_rkey = r.get<std::uint32_t>();
       const auto len = r.get<std::uint32_t>();
-
-      if (!validate(*authority, req, dispatched)) {
-        ++*failures;
-        node.cpu().run(0, dispatched, [&node, src, tag]() {
-          node.nic().post_send(src, tag, Bytes{kStatusDenied});
-        });
-        return;
-      }
       // Zero-copy: RDMA-read the payload from the client straight into the
       // storage target (the extra round trip of Fig. 5 left).
-      const std::uint64_t dest = req.wrh.dest_addr;
+      const std::uint64_t dest = req->wrh.dest_addr;
       node.cpu().run(0, dispatched, [&node, src, tag, client_addr, client_rkey, len, dest]() {
         node.nic().post_read(src, client_addr, client_rkey, len,
                              [&node, src, tag, dest](Bytes data, TimePs got) {
@@ -152,19 +153,13 @@ void RpcRdmaWrite::write(Client& client, const FileLayout& layout, const auth::C
   client.node().ram().write(staging, data);
   const std::uint32_t rkey = client.node().nic().register_mr(staging, data.size());
 
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = client.next_greq();
-  hdr.client_node = client.node().id();
-  hdr.cap = cap;
+  const dfs::DfsHeader hdr{dfs::OpType::kWrite, client.next_greq(), client.node().id(), cap};
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = layout.targets.front().addr;
   wrh.total_len = data.size();
 
-  Bytes req;
+  Bytes req = dfs::serialize_write_headers(hdr, wrh);
   ByteWriter w(req);
-  hdr.serialize(w);
-  wrh.serialize(w);
   w.put(staging);
   w.put(rkey);
   w.put(static_cast<std::uint32_t>(data.size()));

@@ -48,6 +48,8 @@ class RpcRdmaWrite final : public WriteProtocol {
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
              OpCb cb) override;
 
+  std::uint64_t validation_failures() const { return *failures_; }
+
  private:
   /// Each write stages its payload in its own client-RAM window: windows
   /// pack upward from kStagingBase while writes are in flight and restart

@@ -37,112 +37,62 @@ bool Nic::rkey_valid(std::uint32_t rkey, std::uint64_t addr, std::uint64_t len) 
   return addr >= it->second.base && addr + len <= it->second.base + it->second.len;
 }
 
-std::vector<net::Packet> Nic::packetize_write(net::NodeId dst, std::uint64_t raddr,
-                                              std::uint32_t rkey, ByteSpan data,
-                                              std::uint64_t msg_id,
-                                              std::uint64_t user_tag) const {
-  const std::size_t mtu = net_.mtu();
-  const auto count = static_cast<std::uint32_t>(std::max<std::size_t>(1, (data.size() + mtu - 1) / mtu));
-  std::vector<net::Packet> pkts;
-  pkts.reserve(count);
-  std::size_t off = 0;
-  for (std::uint32_t s = 0; s < count; ++s) {
-    net::Packet p;
-    p.src = id_;
-    p.dst = dst;
-    p.opcode = net::Opcode::kRdmaWrite;
-    p.msg_id = msg_id;
-    p.seq = s;
-    p.pkt_count = count;
-    p.raddr = raddr + off;
-    p.rkey = rkey;
-    p.user_tag = user_tag;
-    const std::size_t n = std::min(mtu, data.size() - off);
-    p.data.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    off += n;
-    pkts.push_back(std::move(p));
+void Nic::post(std::vector<net::Packet> pkts, TimePs start, const char* span) {
+  std::uint64_t msg = 0;
+  std::uint64_t corr = 0;
+  if (!pkts.empty()) {
+    msg = pkts.front().msg_id;
+    corr = pkts.front().user_tag != 0 ? pkts.front().user_tag : msg;
   }
-  return pkts;
+  std::uint64_t total = 0;
+  TimePs end = start;
+  for (auto& p : pkts) {
+    // The NIC fetches each packet's payload from host memory before
+    // injecting it.
+    p.src = id_;
+    total += p.data.size();
+    const auto w = pcie_.reserve(p.data.size(), start);
+    end = w.end + config_.pcie_latency;
+    net_.inject(std::move(p), end);
+  }
+  if (obs::kObsEnabled && tracer_ && span)
+    tracer_->record({id_, obs::kLaneNicDma, "dma", span, corr, msg, 0, total, sim_.now(), end});
 }
 
 void Nic::post_write(net::NodeId dst, std::uint64_t raddr, std::uint32_t rkey, Bytes data,
                      WriteCb cb, std::uint64_t user_tag) {
   const std::uint64_t msg_id = alloc_msg_id();
   pending_writes_[msg_id] = std::move(cb);
-  auto pkts = packetize_write(dst, raddr, rkey, data, msg_id, user_tag);
-  const std::uint64_t total = data.size();
-  const TimePs t0 = sim_.now() + config_.doorbell_latency;
-  TimePs dma_end = t0;
-  for (auto& p : pkts) {
-    // NIC fetches each packet's payload from host memory before injecting.
-    const auto w = pcie_.reserve(p.data.size(), t0);
-    dma_end = w.end + config_.pcie_latency;
-    net_.inject(std::move(p), dma_end);
-  }
-  if (obs::kObsEnabled && tracer_)
-    tracer_->record({id_, obs::kLaneNicDma, "dma", "post_write",
-                     user_tag != 0 ? user_tag : msg_id, msg_id, 0, total, sim_.now(), dma_end});
+  post(net::cut(net::packet(id_, dst, net::Opcode::kRdmaWrite, msg_id, user_tag, raddr, rkey), {},
+                data, net_.mtu()),
+       sim_.now() + config_.doorbell_latency, "post_write");
 }
 
 void Nic::post_read(net::NodeId dst, std::uint64_t raddr, std::uint32_t rkey, std::uint32_t len,
                     ReadCb cb) {
   const std::uint64_t msg_id = alloc_msg_id();
   pending_reads_[msg_id] = pending_read(len, std::move(cb));
-
-  net::Packet p;
-  p.src = id_;
-  p.dst = dst;
-  p.opcode = net::Opcode::kRdmaRead;
-  p.msg_id = msg_id;
-  p.raddr = raddr;
-  p.rkey = rkey;
+  net::Packet p = net::packet(id_, dst, net::Opcode::kRdmaRead, msg_id, msg_id, raddr, rkey);
   p.read_len = len;
-  p.user_tag = msg_id;
   net_.inject(std::move(p), sim_.now() + config_.doorbell_latency);
 }
 
 void Nic::post_send(net::NodeId dst, std::uint64_t tag, Bytes data) {
-  const std::uint64_t msg_id = alloc_msg_id();
-  auto pkts = packetize_write(dst, 0, 0, data, msg_id, tag);
-  const TimePs t0 = sim_.now() + config_.doorbell_latency;
-  for (auto& p : pkts) {
-    p.opcode = net::Opcode::kSend;
-    const auto w = pcie_.reserve(p.data.size(), t0);
-    net_.inject(std::move(p), w.end + config_.pcie_latency);
-  }
+  post(net::cut(net::packet(id_, dst, net::Opcode::kSend, alloc_msg_id(), tag), {}, data,
+                net_.mtu()),
+       sim_.now() + config_.doorbell_latency, nullptr);
 }
 
 void Nic::post_message(std::vector<net::Packet> pkts) {
-  const std::uint64_t corr = pkts.empty() ? 0 : pkts.front().user_tag;
-  const std::uint64_t msg = pkts.empty() ? 0 : pkts.front().msg_id;
-  const TimePs t0 = sim_.now() + config_.doorbell_latency;
-  TimePs dma_end = t0;
-  std::uint64_t total = 0;
-  for (auto& p : pkts) {
-    p.src = id_;
-    total += p.data.size();
-    const auto w = pcie_.reserve(p.data.size(), t0);
-    dma_end = w.end + config_.pcie_latency;
-    net_.inject(std::move(p), dma_end);
-  }
-  if (obs::kObsEnabled && tracer_)
-    tracer_->record({id_, obs::kLaneNicDma, "dma", "post_message", corr != 0 ? corr : msg, msg, 0,
-                     total, sim_.now(), dma_end});
+  post(std::move(pkts), sim_.now() + config_.doorbell_latency, "post_message");
 }
 
 void Nic::post_triggered_write(TriggeredWrite trigger) { triggers_.push_back(trigger); }
 
 void Nic::post_control(net::NodeId dst, net::Opcode opcode, std::uint64_t tag,
                        TimePs earliest, std::uint64_t code) {
-  net::Packet p;
-  p.src = id_;
-  p.dst = dst;
-  p.opcode = opcode;
-  p.msg_id = alloc_msg_id();
-  p.user_tag = tag;
-  p.raddr = code;
-  net_.inject(std::move(p), std::max(earliest, sim_.now() + config_.doorbell_latency));
+  net_.inject(net::packet(id_, dst, opcode, alloc_msg_id(), tag, code),
+              std::max(earliest, sim_.now() + config_.doorbell_latency));
 }
 
 void Nic::expect_read_response(std::uint64_t tag, std::uint32_t len, ReadCb cb) {
@@ -152,16 +102,9 @@ void Nic::expect_read_response(std::uint64_t tag, std::uint32_t len, ReadCb cb) 
 Nic::PendingRead Nic::pending_read(std::uint32_t len, ReadCb cb) const {
   PendingRead pr;
   pr.data.assign(len, 0);
-  pr.expected =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, (len + net_.mtu() - 1) / net_.mtu()));
+  pr.expected = net::packet_count(len, net_.mtu());
   pr.cb = std::move(cb);
   return pr;
-}
-
-bool Nic::admit(Assembly& as, const net::Packet& pkt) {
-  if (as.arrivals.admit(pkt)) return true;
-  ++rejected_packets_;
-  return false;
 }
 
 bool Nic::cancel_read(std::uint64_t tag) { return pending_reads_.erase(tag) != 0; }
@@ -343,13 +286,8 @@ void Nic::on_packet(net::Packet&& pkt) {
 void Nic::host_path_write(net::Packet&& pkt) {
   if (!rkey_valid(pkt.rkey, pkt.raddr, pkt.data.size())) {
     if (pkt.first()) {
-      net::Packet nack;
-      nack.src = id_;
-      nack.dst = pkt.src;
-      nack.opcode = net::Opcode::kNack;
-      nack.msg_id = alloc_msg_id();
-      nack.user_tag = pkt.msg_id;
-      net_.inject(std::move(nack), sim_.now());
+      net_.inject(net::packet(id_, pkt.src, net::Opcode::kNack, alloc_msg_id(), pkt.msg_id),
+                  sim_.now());
     }
     return;
   }
@@ -358,7 +296,8 @@ void Nic::host_path_write(net::Packet&& pkt) {
   Assembly& as = rx_writes_[key];
   // Counted by distinct seq: a duplicate counted as an arrival would send
   // the transport ack before the message's last packets are durable.
-  if (!admit(as, pkt)) {
+  if (!as.arrivals.admit(pkt)) {
+    ++rejected_packets_;
     if (as.arrivals.arrived() == 0) rx_writes_.erase(key);
     return;
   }
@@ -374,13 +313,9 @@ void Nic::host_path_write(net::Packet&& pkt) {
 
   if (as.arrivals.complete()) {
     // Transport-level ack back to the initiator once everything is durable.
-    net::Packet ack;
-    ack.src = id_;
-    ack.dst = pkt.src;
-    ack.opcode = net::Opcode::kTransportAck;
-    ack.msg_id = alloc_msg_id();
-    ack.user_tag = pkt.msg_id;
-    net_.inject(std::move(ack), as.durable_max);
+    net_.inject(
+        net::packet(id_, pkt.src, net::Opcode::kTransportAck, alloc_msg_id(), pkt.msg_id),
+        as.durable_max);
 
     if (write_notify_) {
       const Assembly snapshot = as;
@@ -411,127 +346,69 @@ void Nic::fire_trigger(const TriggeredWrite& trig, const Assembly& as, TimePs wh
   const TimePs t = when + config_.trigger_processing;
   if (trig.next_dst == net::kInvalidNode) {
     // Tail of the chain: complete the operation toward the client.
-    net::Packet ack;
-    ack.src = id_;
-    ack.dst = trig.ack_to;
-    ack.opcode = net::Opcode::kAck;
-    ack.msg_id = alloc_msg_id();
-    ack.user_tag = trig.ack_tag;
-    net_.inject(std::move(ack), t);
+    net_.inject(net::packet(id_, trig.ack_to, net::Opcode::kAck, alloc_msg_id(), trig.ack_tag),
+                t);
     return;
   }
   // Forward: bounce the received data back out of host memory (the
   // through-PCIe cost sPIN-side forwarding avoids).
   const Bytes data = memory_.read(as.first_raddr, static_cast<std::size_t>(as.total_len));
-  auto pkts = packetize_write(trig.next_dst, trig.next_raddr, trig.next_rkey, data,
-                              alloc_msg_id(), trig.trigger_tag);
-  for (auto& p : pkts) {
-    const auto w = pcie_.reserve(p.data.size(), t);
-    net_.inject(std::move(p), w.end + config_.pcie_latency);
+  post(net::cut(net::packet(id_, trig.next_dst, net::Opcode::kRdmaWrite, alloc_msg_id(),
+                            trig.trigger_tag, trig.next_raddr, trig.next_rkey),
+                {}, data, net_.mtu()),
+       t, nullptr);
+}
+
+std::uint32_t Nic::reassemble(std::unordered_map<std::uint64_t, Message>& rx, net::Packet&& pkt,
+                              std::uint64_t id, const RecvHandler& deliver) {
+  const std::uint64_t key = assembly_key(pkt.src, pkt.msg_id);
+  Message& m = rx[key];
+  const std::size_t bytes = pkt.data.size();
+  if (!m.parts.admit(pkt)) {
+    ++rejected_packets_;
+    if (m.parts.arrived() == 0) rx.erase(key);
+    return 0;
   }
+  const auto w = pcie_.reserve(bytes, sim_.now() + config_.rx_processing);
+  m.in_memory = std::max(m.in_memory, w.end + config_.pcie_latency);
+  const std::uint32_t arrived = m.parts.arrived();
+  if (m.parts.complete()) {
+    const net::NodeId src = pkt.src;
+    const TimePs at = m.in_memory;
+    Bytes msg = m.parts.join();
+    rx.erase(key);
+    sim_.schedule_at(at, [&deliver, src, id, msg = std::move(msg), at]() mutable {
+      if (deliver) deliver(src, id, std::move(msg), at);
+    });
+  }
+  return arrived;
 }
 
 void Nic::host_path_dfs_request(net::Packet&& pkt) {
   // Assemble the DFS-formatted request into host memory and hand it to the
-  // DFS software's command queue, preserving packet order by data offset.
-  const std::uint64_t key = assembly_key(pkt.src, pkt.msg_id);
-  Assembly& as = rx_dfs_[key];
-  if (!admit(as, pkt)) {
-    if (as.arrivals.arrived() == 0) rx_dfs_.erase(key);
-    return;
-  }
-  if (as.arrivals.arrived() == 1) {
-    ++steered_to_host_;
-    as.parts.resize(as.arrivals.expected());
-  }
-
-  const TimePs t = sim_.now() + config_.rx_processing;
-  const auto w = pcie_.reserve(pkt.data.size(), t);
-  as.durable_max = std::max(as.durable_max, w.end + config_.pcie_latency);
-  as.total_len += pkt.data.size();
-  as.parts[pkt.seq] = std::move(pkt.data);
-
-  if (as.arrivals.complete()) {
-    Bytes msg;
-    msg.reserve(static_cast<std::size_t>(as.total_len));
-    for (auto& part : as.parts) msg.insert(msg.end(), part.begin(), part.end());
-    const net::NodeId src = pkt.src;
-    const std::uint64_t msg_id = pkt.msg_id;
-    const TimePs at = as.durable_max;
-    rx_dfs_.erase(key);
-    sim_.schedule_at(at, [this, src, msg_id, msg = std::move(msg), at]() mutable {
-      if (dfs_request_handler_) dfs_request_handler_(src, msg_id, std::move(msg), at);
-    });
-  }
+  // DFS software's command queue.
+  const std::uint64_t msg_id = pkt.msg_id;
+  if (reassemble(rx_dfs_, std::move(pkt), msg_id, dfs_request_handler_) == 1) ++steered_to_host_;
 }
 
 void Nic::host_path_read_request(const net::Packet& pkt) {
   if (!rkey_valid(pkt.rkey, pkt.raddr, pkt.read_len)) {
-    net::Packet nack;
-    nack.src = id_;
-    nack.dst = pkt.src;
-    nack.opcode = net::Opcode::kNack;
-    nack.msg_id = alloc_msg_id();
-    nack.user_tag = pkt.user_tag;
-    net_.inject(std::move(nack), sim_.now());
+    net_.inject(net::packet(id_, pkt.src, net::Opcode::kNack, alloc_msg_id(), pkt.user_tag),
+                sim_.now());
     return;
   }
-  const TimePs t0 = sim_.now() + config_.rx_processing;
-  auto r = memory_.read_at(pkt.raddr, pkt.read_len, t0);
-  const TimePs t = r.ready;
-  const Bytes data = std::move(r.data);
-  const std::size_t mtu = net_.mtu();
-  const auto count =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, (data.size() + mtu - 1) / mtu));
-  std::size_t off = 0;
-  for (std::uint32_t s = 0; s < count; ++s) {
-    net::Packet p;
-    p.src = id_;
-    p.dst = pkt.src;
-    p.opcode = net::Opcode::kRdmaReadResp;
-    p.msg_id = alloc_msg_id();
-    p.seq = s;
-    p.pkt_count = count;
-    p.user_tag = pkt.user_tag;
-    const std::size_t n = std::min(mtu, data.size() - off);
-    p.data.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    off += n;
-    const auto w = pcie_.reserve(p.data.size(), t + config_.pcie_latency);
-    net_.inject(std::move(p), w.end + config_.pcie_latency);
-  }
+  auto r = memory_.read_at(pkt.raddr, pkt.read_len, sim_.now() + config_.rx_processing);
+  auto pkts = net::cut(net::packet(id_, pkt.src, net::Opcode::kRdmaReadResp, 0, pkt.user_tag), {},
+                       r.data, net_.mtu());
+  // Every response packet has a message id of its own; the reader matches
+  // them by user_tag.
+  for (auto& p : pkts) p.msg_id = alloc_msg_id();
+  post(std::move(pkts), r.ready + config_.pcie_latency, nullptr);
 }
 
 void Nic::host_path_send(net::Packet&& pkt) {
-  const std::uint64_t key = assembly_key(pkt.src, pkt.msg_id);
-  Assembly& as = rx_sends_[key];
-  if (!admit(as, pkt)) {
-    if (as.arrivals.arrived() == 0) rx_sends_.erase(key);
-    return;
-  }
-  as.user_tag = pkt.user_tag;
-  if (as.arrivals.arrived() == 1) as.parts.resize(as.arrivals.expected());
-
-  const TimePs t = sim_.now() + config_.rx_processing;
-  const auto w = pcie_.reserve(pkt.data.size(), t);
-  as.durable_max = std::max(as.durable_max, w.end + config_.pcie_latency);
-  as.total_len += pkt.data.size();
-  as.parts[pkt.seq] = std::move(pkt.data);
-
-  if (as.arrivals.complete()) {
-    Bytes msg;
-    msg.reserve(static_cast<std::size_t>(as.total_len));
-    for (auto& part : as.parts) {
-      msg.insert(msg.end(), part.begin(), part.end());
-    }
-    const net::NodeId src = pkt.src;
-    const std::uint64_t tag = as.user_tag;
-    const TimePs at = as.durable_max;
-    rx_sends_.erase(key);
-    sim_.schedule_at(at, [this, src, tag, msg = std::move(msg), at]() mutable {
-      if (recv_handler_) recv_handler_(src, tag, std::move(msg), at);
-    });
-  }
+  const std::uint64_t tag = pkt.user_tag;
+  reassemble(rx_sends_, std::move(pkt), tag, recv_handler_);
 }
 
 }  // namespace nadfs::rdma

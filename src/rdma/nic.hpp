@@ -25,7 +25,7 @@
 #include "common/bytes.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
-#include "net/arrivals.hpp"
+#include "net/train.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pspin/device.hpp"
@@ -189,23 +189,23 @@ class Nic : public net::PacketSink, public spin::NicServices {
   /// Register NIC counters/gauges under `prefix` ("node3.nic").
   void bind_metrics(obs::MetricRegistry& reg, const std::string& prefix);
 
-  /// Split `data` into MTU-sized kRdmaWrite packets toward (dst, raddr).
-  std::vector<net::Packet> packetize_write(net::NodeId dst, std::uint64_t raddr,
-                                           std::uint32_t rkey, ByteSpan data,
-                                           std::uint64_t msg_id, std::uint64_t user_tag) const;
-
  private:
   struct MR {
     std::uint64_t base;
     std::uint64_t len;
   };
+  /// A host-path RDMA write: each packet lands in memory as it arrives.
   struct Assembly {
     net::Arrivals arrivals;
     std::uint64_t first_raddr = 0;
     std::uint64_t total_len = 0;
     std::uint64_t user_tag = 0;
     TimePs durable_max = 0;
-    std::vector<Bytes> parts;  // kSend reassembly, by seq
+  };
+  /// A kSend message or host-steered DFS request, delivered whole.
+  struct Message {
+    net::Reassembly parts;
+    TimePs in_memory = 0;  ///< when every admitted payload is in host memory
   };
   struct PendingRead {
     Bytes data;
@@ -215,9 +215,18 @@ class Nic : public net::PacketSink, public spin::NicServices {
     ReadCb cb;
   };
   PendingRead pending_read(std::uint32_t len, ReadCb cb) const;
-  /// Count `pkt` as an arrival of `as` (net::Arrivals::admit); a rejected
-  /// packet is counted in rejected_packets_.
-  bool admit(Assembly& as, const net::Packet& pkt);
+  /// Fetch each packet's payload over PCIe from `start` and inject the
+  /// packet at fetch end plus PCIe latency. `span` names the NIC-DMA span
+  /// recorded over the post (none when null).
+  void post(std::vector<net::Packet> pkts, TimePs start, const char* span);
+  /// Admit `pkt` to its message in `rx` (a rejected packet is counted in
+  /// rejected_packets_) and DMA its payload into host memory. Once the
+  /// message is whole it leaves `rx`, and `deliver` — a handler member of
+  /// this NIC, read when the event fires — receives it with `id` when all
+  /// of it is in host memory. Returns the packets admitted so far, 0 when
+  /// `pkt` was rejected.
+  std::uint32_t reassemble(std::unordered_map<std::uint64_t, Message>& rx, net::Packet&& pkt,
+                           std::uint64_t id, const RecvHandler& deliver);
 
   void host_path_write(net::Packet&& pkt);
   void host_path_read_request(const net::Packet& pkt);
@@ -248,8 +257,8 @@ class Nic : public net::PacketSink, public spin::NicServices {
     return (static_cast<std::uint64_t>(src) << 48) ^ msg_id;
   }
   std::unordered_map<std::uint64_t, Assembly> rx_writes_;
-  std::unordered_map<std::uint64_t, Assembly> rx_sends_;
-  std::unordered_map<std::uint64_t, Assembly> rx_dfs_;  // host-steered DFS requests
+  std::unordered_map<std::uint64_t, Message> rx_sends_;
+  std::unordered_map<std::uint64_t, Message> rx_dfs_;  // host-steered DFS requests
   std::size_t pspin_backlog_limit_ = 0;
   std::uint64_t steered_to_host_ = 0;
   DfsRequestHandler dfs_request_handler_;

@@ -305,31 +305,25 @@ void Client::start_write(const FileLayout& layout, const auth::Capability& cap,
   }
 }
 
+template <class OpHeader>
+std::vector<net::Packet> Client::request(dfs::OpType op, std::uint64_t greq,
+                                         const auth::Capability& cap, net::NodeId dst,
+                                         const OpHeader& op_header, ByteSpan data) const {
+  return dfs::build_request_packets(node_.id(), dst, cluster_.network().mtu(),
+                                    dfs::DfsHeader{op, greq, node_.id(), cap}, op_header, data);
+}
+
 void Client::write_plain(const FileLayout& layout, const auth::Capability& cap,
                          std::uint64_t offset, Bytes data, std::uint64_t greq) {
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = layout.targets.front().addr + offset;
   wrh.total_len = data.size();
-  wrh.resiliency = dfs::Resiliency::kNone;
-
-  node_.nic().post_message(dfs::build_write_packets(
-      node_.id(), layout.targets.front().node, cluster_.network().mtu(), hdr, wrh, data));
+  node_.nic().post_message(
+      request(dfs::OpType::kWrite, greq, cap, layout.targets.front().node, wrh, data));
 }
 
 void Client::write_replicated(const FileLayout& layout, const auth::Capability& cap,
                               std::uint64_t offset, Bytes data, std::uint64_t greq) {
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = layout.targets.front().addr + offset;
   wrh.total_len = data.size();
@@ -338,9 +332,8 @@ void Client::write_replicated(const FileLayout& layout, const auth::Capability& 
   wrh.virtual_rank = 0;
   wrh.replicas = layout.targets;
   for (auto& coord : wrh.replicas) coord.addr += offset;
-
-  node_.nic().post_message(dfs::build_write_packets(
-      node_.id(), layout.targets.front().node, cluster_.network().mtu(), hdr, wrh, data));
+  node_.nic().post_message(
+      request(dfs::OpType::kWrite, greq, cap, layout.targets.front().node, wrh, data));
 }
 
 void Client::write_erasure_coded(const FileLayout& layout, const auth::Capability& cap,
@@ -352,12 +345,6 @@ void Client::write_erasure_coded(const FileLayout& layout, const auth::Capabilit
   std::vector<std::vector<net::Packet>> trains;
   trains.reserve(k);
   for (unsigned i = 0; i < k; ++i) {
-    dfs::DfsHeader hdr;
-    hdr.op = dfs::OpType::kWrite;
-    hdr.greq_id = greq;
-    hdr.client_node = node_.id();
-    hdr.cap = cap;
-
     dfs::WriteRequestHeader wrh;
     wrh.dest_addr = layout.targets[i].addr;
     wrh.total_len = chunk_len;
@@ -369,8 +356,8 @@ void Client::write_erasure_coded(const FileLayout& layout, const auth::Capabilit
     wrh.parity_nodes = layout.parity;
 
     const ByteSpan chunk(data.data() + static_cast<std::size_t>(i) * chunk_len, chunk_len);
-    trains.push_back(dfs::build_write_packets(node_.id(), layout.targets[i].node,
-                                              cluster_.network().mtu(), hdr, wrh, chunk));
+    trains.push_back(
+        request(dfs::OpType::kWrite, greq, cap, layout.targets[i].node, wrh, chunk));
   }
   if (ec_interleave_) {
     node_.nic().post_message(interleave(std::move(trains)));
@@ -468,15 +455,8 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
         note_op("read", "read_failed", true, greq, issued, at, &read_latency_q_);
         (*shared_cb)(dfs::DfsError::kOk, std::move(data), at);
       });
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kRead;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-  dfs::ReadRequestHeader rrh;
-  rrh.src_addr = coord.addr;
-  rrh.len = len;
-  node_.nic().post_message(dfs::build_read_packets(node_.id(), coord.node, hdr, rrh));
+  node_.nic().post_message(request(dfs::OpType::kRead, greq, cap, coord.node,
+                                   dfs::ReadRequestHeader{coord.addr, len}));
 }
 
 void Client::write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
@@ -496,17 +476,10 @@ void Client::start_extent_write(const dfs::Coord& coord, const auth::Capability&
   tracker_.expect(greq, 1, make_completion(dfs::OpType::kWrite, greq, std::move(cb), attempts_left,
                                            std::move(reissue)));
   arm_write_deadline(greq);
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = coord.addr;
   wrh.total_len = data.size();
-  wrh.resiliency = dfs::Resiliency::kNone;
-  node_.nic().post_message(
-      dfs::build_write_packets(node_.id(), coord.node, cluster_.network().mtu(), hdr, wrh, data));
+  node_.nic().post_message(request(dfs::OpType::kWrite, greq, cap, coord.node, wrh, data));
 }
 
 void Client::trim_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint64_t len,
@@ -532,15 +505,8 @@ void Client::start_extent_op(dfs::OpType op, const dfs::Coord& coord,
   tracker_.expect(greq, 1,
                   make_completion(op, greq, std::move(cb), attempts_left, std::move(reissue)));
   arm_write_deadline(greq);
-  dfs::DfsHeader hdr;
-  hdr.op = op;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-  dfs::ExtentRequestHeader erh;
-  erh.addr = coord.addr;
-  erh.len = len;
-  node_.nic().post_message(dfs::build_extent_packets(node_.id(), coord.node, hdr, erh));
+  node_.nic().post_message(
+      request(op, greq, cap, coord.node, dfs::ExtentRequestHeader{coord.addr, len}));
 }
 
 // ---- name-based operations ------------------------------------------------

@@ -214,6 +214,12 @@ class Client {
   const obs::QuantileSketch& read_latency_sketch() const { return read_latency_q_; }
 
  private:
+  /// The packet train of one request from this client to `dst`: the DFS
+  /// header (op, greq, this node, cap) and `op_header`, then `data`.
+  template <class OpHeader>
+  std::vector<net::Packet> request(dfs::OpType op, std::uint64_t greq,
+                                   const auth::Capability& cap, net::NodeId dst,
+                                   const OpHeader& op_header, ByteSpan data = {}) const;
   void write_plain(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
                    Bytes data, std::uint64_t greq);
   void write_replicated(const FileLayout& layout, const auth::Capability& cap,

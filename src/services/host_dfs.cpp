@@ -1,5 +1,7 @@
 #include "services/host_dfs.hpp"
 
+#include "net/train.hpp"
+
 namespace nadfs::services {
 
 HostDfsService::HostDfsService(StorageNode& node, dfs::DfsConfig cfg)
@@ -117,8 +119,8 @@ void HostDfsService::handle_write(const dfs::ParsedRequest& req, ByteSpan payloa
         dfs::WriteRequestHeader cw = wrh;
         cw.virtual_rank = child;
         cw.dest_addr = wrh.replicas[child].addr;
-        auto pkts = dfs::build_write_packets(node_.id(), wrh.replicas[child].node, cfg_.mtu,
-                                             req.dfs, cw, payload);
+        auto pkts = dfs::build_request_packets(node_.id(), wrh.replicas[child].node, cfg_.mtu,
+                                               req.dfs, cw, payload);
         cpu.run(cpu.config().rpc_dispatch, copied, [this, pkts = std::move(pkts)]() mutable {
           node_.nic().post_message(std::move(pkts));
         });
@@ -136,8 +138,8 @@ void HostDfsService::handle_write(const dfs::ParsedRequest& req, ByteSpan payloa
         dfs::WriteRequestHeader pw = wrh;
         pw.role = dfs::EcRole::kParity;
         pw.dest_addr = wrh.parity_nodes[p].addr;
-        auto pkts = dfs::build_write_packets(node_.id(), wrh.parity_nodes[p].node, cfg_.mtu,
-                                             req.dfs, pw, inter[p]);
+        auto pkts = dfs::build_request_packets(node_.id(), wrh.parity_nodes[p].node, cfg_.mtu,
+                                               req.dfs, pw, inter[p]);
         cpu.run(cpu.config().rpc_dispatch, encoded, [this, pkts = std::move(pkts)]() mutable {
           node_.nic().post_message(std::move(pkts));
         });
@@ -191,28 +193,10 @@ void HostDfsService::handle_read(const dfs::ParsedRequest& req, TimePs t) {
   // The engine prices the media read (line-rate: ready == t, unchanged);
   // the host copy starts once the medium has produced the bytes.
   auto r = node_.target().read_at(req.rrh.src_addr, req.rrh.len, t);
-  const Bytes data = std::move(r.data);
-  const TimePs ready = cpu.copy(data.size(), r.ready);
-
-  const std::size_t mtu = cfg_.mtu;
-  const auto count =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, (data.size() + mtu - 1) / mtu));
-  std::vector<net::Packet> pkts;
-  std::size_t off = 0;
-  for (std::uint32_t s = 0; s < count; ++s) {
-    net::Packet p;
-    p.dst = req.dfs.client_node;
-    p.opcode = net::Opcode::kRdmaReadResp;
-    p.msg_id = req.dfs.greq_id;
-    p.seq = s;
-    p.pkt_count = count;
-    p.user_tag = req.dfs.greq_id;
-    const std::size_t n = std::min(mtu, data.size() - off);
-    p.data.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    off += n;
-    pkts.push_back(std::move(p));
-  }
+  const TimePs ready = cpu.copy(r.data.size(), r.ready);
+  auto pkts = net::cut(net::packet(node_.id(), req.dfs.client_node, net::Opcode::kRdmaReadResp,
+                                   req.dfs.greq_id, req.dfs.greq_id),
+                       {}, r.data, cfg_.mtu);
   cpu.run(0, ready, [this, pkts = std::move(pkts)]() mutable {
     node_.nic().post_message(std::move(pkts));
   });

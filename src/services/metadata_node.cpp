@@ -1,10 +1,13 @@
 #include "services/metadata_node.hpp"
 
+#include <stdexcept>
+
 namespace nadfs::services {
 
 namespace {
 constexpr std::uint8_t kStatusOk = 0;
 constexpr std::uint8_t kStatusNotFound = 1;
+constexpr std::uint8_t kStatusMalformed = 2;
 /// CPU cost to look an object up and mint a capability.
 constexpr TimePs kLookupCost = ns(400);
 }  // namespace
@@ -25,22 +28,25 @@ void MetadataNode::serve(net::NodeId src, std::uint64_t tag, Bytes request, Time
                                at + cpu.config().notify_latency);
   ++lookups_;
 
-  // Request: [client_id:8][rights:1][name bytes].
-  ByteReader r(request);
-  const auto client_id = r.get<std::uint64_t>();
-  const auto rights = static_cast<auth::Right>(r.get<std::uint8_t>());
-  const auto name_bytes = r.get_bytes(r.remaining());
-  const std::string name(name_bytes.begin(), name_bytes.end());
-
   Bytes response;
   ByteWriter w(response);
-  const FileLayout* layout = cluster_.metadata().lookup(name);
-  if (!layout) {
-    w.put(kStatusNotFound);
-  } else {
-    w.put(kStatusOk);
-    layout->serialize(w);
-    cluster_.metadata().grant(client_id, *layout, rights).serialize(w);
+  try {
+    // Request: [client_id:8][rights:1][name bytes].
+    ByteReader r(request);
+    const auto client_id = r.get<std::uint64_t>();
+    const auto rights = static_cast<auth::Right>(r.get<std::uint8_t>());
+    const auto name_bytes = r.get_bytes(r.remaining());
+    const std::string name(name_bytes.begin(), name_bytes.end());
+    const FileLayout* layout = cluster_.metadata().lookup(name);
+    if (!layout) {
+      w.put(kStatusNotFound);
+    } else {
+      w.put(kStatusOk);
+      layout->serialize(w);
+      cluster_.metadata().grant(client_id, *layout, rights).serialize(w);
+    }
+  } catch (const std::out_of_range&) {
+    response.assign(1, kStatusMalformed);  // a truncated request
   }
   cluster_.sim().schedule_at(done, [this, src, tag, response = std::move(response)]() mutable {
     node_->nic().post_send(src, tag, std::move(response));

@@ -97,7 +97,7 @@ TEST(DfsHandlers, PlainWriteStoresDataAndAcks) {
   wrh.dest_addr = 0x4000;
   wrh.total_len = 5000;
   const Bytes data = random_bytes(5000, 1);
-  rig.deliver(build_write_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh, data));
+  rig.deliver(build_request_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh, data));
 
   EXPECT_EQ(rig.nic.peek_storage(0x4000, 5000), data);
   ASSERT_EQ(rig.nic.sent.size(), 1u);
@@ -115,7 +115,7 @@ TEST(DfsHandlers, NackCarriesRequestIdAndClient) {
   wrh.total_len = 100;
   auto hdr = rig.header(OpType::kWrite, 0xDEAD);
   hdr.cap.mac ^= 1;
-  rig.deliver(build_write_packets(5, 42, 2048, hdr, wrh, Bytes(100, 1)));
+  rig.deliver(build_request_packets(5, 42, 2048, hdr, wrh, Bytes(100, 1)));
 
   ASSERT_EQ(rig.nic.sent.size(), 1u);
   EXPECT_EQ(rig.nic.sent[0].opcode, net::Opcode::kNack);
@@ -135,7 +135,7 @@ TEST(DfsHandlers, DeniedRequestDropsAllPayloadsWithoutWriting) {
   wrh.total_len = 8000;
   auto hdr = rig.header(OpType::kWrite);
   hdr.cap.extent_len = 1;  // extent check fails
-  rig.deliver(build_write_packets(5, 42, 2048, hdr, wrh, random_bytes(8000, 2)));
+  rig.deliver(build_request_packets(5, 42, 2048, hdr, wrh, random_bytes(8000, 2)));
 
   EXPECT_EQ(rig.nic.peek_storage(0x4000, 8000), Bytes(8000, 0));
   EXPECT_TRUE(rig.state->denied.empty());  // CH cleaned the marker
@@ -152,7 +152,7 @@ TEST(DfsHandlers, RingForwardRewritesHeadersForChild) {
   wrh.virtual_rank = 0;
   wrh.replicas = {{42, 0x1000}, {43, 0x2000}, {44, 0x3000}};
   const Bytes data = random_bytes(3000, 3);
-  rig.deliver(build_write_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh, data));
+  rig.deliver(build_request_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh, data));
 
   // Own copy stored.
   EXPECT_EQ(rig.nic.peek_storage(0x1000, 3000), data);
@@ -181,8 +181,8 @@ TEST(DfsHandlers, PbtRootForwardsToTwoChildren) {
   wrh.strategy = ReplStrategy::kPbt;
   wrh.virtual_rank = 0;
   wrh.replicas = {{42, 0x1000}, {50, 0}, {51, 0}, {52, 0}};
-  rig.deliver(build_write_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh,
-                                  random_bytes(1000, 4)));
+  rig.deliver(build_request_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh,
+                                    random_bytes(1000, 4)));
 
   std::set<net::NodeId> dsts;
   for (const auto& p : rig.nic.sent) {
@@ -203,7 +203,7 @@ TEST(DfsHandlers, EcDataNodeEmitsCorrectIntermediateParities) {
   wrh.data_idx = 1;
   wrh.parity_nodes = {{60, 0x8000}, {61, 0x9000}};
   const Bytes chunk = random_bytes(4000, 5);
-  rig.deliver(build_write_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh, chunk));
+  rig.deliver(build_request_packets(5, 42, 2048, rig.header(OpType::kWrite), wrh, chunk));
 
   // Reassemble each parity stream and compare against the reference
   // intermediate encode of this chunk.
@@ -247,8 +247,8 @@ TEST(DfsHandlers, EcParityNodeAggregatesAndAcksOnce) {
     wrh.data_idx = static_cast<std::uint8_t>(d);
     wrh.parity_nodes = {{42, 0xA000}};
     auto pkts =
-        build_write_packets(static_cast<net::NodeId>(10 + d), 42, 2048,
-                            rig.header(OpType::kWrite), wrh, d == 0 ? s0 : s1);
+        build_request_packets(static_cast<net::NodeId>(10 + d), 42, 2048,
+                              rig.header(OpType::kWrite), wrh, d == 0 ? s0 : s1);
     rig.deliver(std::move(pkts));
   }
 
@@ -273,7 +273,7 @@ TEST(DfsHandlers, ReadStreamsExtentAsResponsePackets) {
   ReadRequestHeader rrh;
   rrh.src_addr = 0x2000;
   rrh.len = 5000;
-  rig.deliver(build_read_packets(5, 42, rig.header(OpType::kRead, 0x77), rrh));
+  rig.deliver(build_request_packets(5, 42, 2048, rig.header(OpType::kRead, 0x77), rrh));
 
   Bytes got(5000, 0);
   unsigned resp = 0;
@@ -296,7 +296,7 @@ TEST(DfsHandlers, ReadRejectedWithoutReadRight) {
   rrh.len = 100;
   auto hdr = rig.header(OpType::kRead);
   hdr.cap = rig.authority->mint(1, 1, auth::Right::kWrite, 0, 0, 1 << 20);  // write-only
-  rig.deliver(build_read_packets(5, 42, hdr, rrh));
+  rig.deliver(build_request_packets(5, 42, 2048, hdr, rrh));
   ASSERT_EQ(rig.nic.sent.size(), 1u);
   EXPECT_EQ(rig.nic.sent[0].opcode, net::Opcode::kNack);
 }
@@ -324,8 +324,8 @@ TEST(DfsHandlers, AccumulatorPoolExhaustionFallsBackCorrectly) {
     wrh.role = EcRole::kParity;
     wrh.data_idx = static_cast<std::uint8_t>(d);
     wrh.parity_nodes = {{42, 0xB000}};
-    rig.deliver(build_write_packets(static_cast<net::NodeId>(10 + d), 42, 2048,
-                                    rig.header(OpType::kWrite), wrh, d == 0 ? s0 : s1));
+    rig.deliver(build_request_packets(static_cast<net::NodeId>(10 + d), 42, 2048,
+                                      rig.header(OpType::kWrite), wrh, d == 0 ? s0 : s1));
   }
   Bytes expect(2500);
   for (std::size_t i = 0; i < expect.size(); ++i) {

@@ -2,13 +2,16 @@
 // helpers, request table, and accumulator pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "dfs/handlers.hpp"
 #include "dfs/req_table.hpp"
 #include "dfs/wire.hpp"
+#include "net/train.hpp"
 
 namespace nadfs::dfs {
 namespace {
@@ -134,53 +137,171 @@ TEST(Wire, ParseRequestRead) {
   EXPECT_EQ(parsed.rrh.len, 512u);
 }
 
+bool wrh_parses(const WriteRequestHeader& wrh) {
+  Bytes buf;
+  ByteWriter w(buf);
+  wrh.serialize(w);
+  ByteReader r(buf);
+  try {
+    (void)WriteRequestHeader::deserialize(r);
+    return true;
+  } catch (const std::out_of_range&) {
+    return false;
+  }
+}
+
+TEST(Wire, WrhRejectsUnknownEnumBytesAndInvalidEcParameters) {
+  // Regression: any resiliency, strategy or role byte parsed, and so did EC
+  // fields no RS(k, m) stream has, which then threw out of the codec or
+  // indexed past the parity coordinates. Both now fail like a truncation.
+  WriteRequestHeader repl;
+  repl.resiliency = Resiliency::kReplication;
+  repl.replicas = {{0, 0x10}, {1, 0x20}};
+  WriteRequestHeader ec;
+  ec.resiliency = Resiliency::kErasureCoding;
+  ec.ec_k = 3;
+  ec.ec_m = 2;
+  ec.data_idx = 2;
+  ec.parity_nodes = {{7, 0x100}, {8, 0x200}};
+  ASSERT_TRUE(wrh_parses(repl));
+  ASSERT_TRUE(wrh_parses(ec));
+
+  auto bad = repl;
+  bad.resiliency = static_cast<Resiliency>(3);
+  EXPECT_FALSE(wrh_parses(bad));
+  bad = repl;
+  bad.strategy = static_cast<ReplStrategy>(2);
+  EXPECT_FALSE(wrh_parses(bad));
+  bad = ec;
+  bad.role = static_cast<EcRole>(2);
+  EXPECT_FALSE(wrh_parses(bad));
+  bad = ec;
+  bad.ec_k = 0;
+  bad.data_idx = 0;
+  EXPECT_FALSE(wrh_parses(bad));
+  bad = ec;
+  bad.ec_m = 0;
+  bad.parity_nodes.clear();
+  EXPECT_FALSE(wrh_parses(bad));
+  bad = ec;
+  bad.data_idx = 3;
+  EXPECT_FALSE(wrh_parses(bad));
+  bad = ec;
+  bad.parity_nodes.pop_back();
+  EXPECT_FALSE(wrh_parses(bad));
+  bad = ec;
+  bad.ec_k = 200;
+  bad.ec_m = 57;
+  bad.parity_nodes.assign(57, Coord{});
+  EXPECT_FALSE(wrh_parses(bad));
+  bad.ec_m = 56;
+  bad.parity_nodes.pop_back();
+  EXPECT_TRUE(wrh_parses(bad));  // k + m == 256 is the largest code
+}
+
 TEST(Wire, ParseTruncatedThrows) {
   Bytes buf{1, 2, 3};
   EXPECT_THROW(parse_request(buf), std::out_of_range);
 }
 
 // ----------------------------------------------------- packet building
+//
+// net::cut over one input per test and every size: the DFS write headers
+// (build_request_packets), no head at all (the NIC's verbs and the read
+// responses), a head that leaves one data byte in packet 0, and a head that
+// leaves none.
+
+constexpr std::size_t kMtu = 2048;
+
+Bytes sized_data(std::size_t size) {
+  Rng rng(size);
+  Bytes data(size);
+  for (auto& b : data) b = rng.next_byte();
+  return data;
+}
+
+/// A train cut from [head | data]: seqs numbered under one packet count,
+/// packet 0 leading with `head`, every packet but the last full, and the
+/// payloads placed at raddr - `base` reassembling `data` exactly.
+void expect_train(const std::vector<net::Packet>& pkts, ByteSpan head, const Bytes& data,
+                  std::uint64_t base) {
+  ASSERT_FALSE(pkts.empty());
+  ASSERT_GE(pkts[0].data.size(), head.size());
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), pkts[0].data.begin()));
+  Bytes reassembled(data.size(), 0);
+  std::size_t covered = 0;
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    const auto& p = pkts[i];
+    EXPECT_EQ(p.seq, i);
+    EXPECT_EQ(p.pkt_count, pkts.size());
+    if (p.last()) {
+      EXPECT_LE(p.data.size(), kMtu);
+    } else {
+      EXPECT_EQ(p.data.size(), kMtu);
+    }
+    const std::size_t skip = p.first() ? head.size() : 0;
+    const std::size_t n = p.data.size() - skip;
+    ASSERT_GE(p.raddr, base);
+    ASSERT_LE(p.raddr - base + n, data.size());
+    std::copy(p.data.begin() + static_cast<std::ptrdiff_t>(skip), p.data.end(),
+              reassembled.begin() + static_cast<std::ptrdiff_t>(p.raddr - base));
+    covered += n;
+  }
+  EXPECT_EQ(covered, data.size());
+  EXPECT_EQ(reassembled, data);
+}
 
 class BuildWritePackets : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BuildWritePackets, CoversDataExactly) {
   const std::size_t size = GetParam();
-  const std::size_t mtu = 2048;
-  Rng rng(size);
-  Bytes data(size);
-  for (auto& b : data) b = rng.next_byte();
-
+  const Bytes data = sized_data(size);
   WriteRequestHeader wrh;
   wrh.dest_addr = 0;
   wrh.total_len = size;
-  const auto pkts = build_write_packets(1, 2, mtu, test_header(), wrh, data);
+  const auto pkts = build_request_packets(1, 2, kMtu, test_header(), wrh, data);
 
   ASSERT_FALSE(pkts.empty());
   // Only the first packet carries DFS headers (Fig. 3).
   const auto parsed = parse_request(pkts[0].data);
   EXPECT_EQ(parsed.wrh.total_len, size);
+  for (const auto& p : pkts) EXPECT_EQ(p.msg_id, test_header().greq_id);
+  expect_train(pkts, ByteSpan(pkts[0].data.data(), parsed.header_bytes), data, 0);
+}
 
-  // Reassemble the payload from (raddr, bytes) and compare.
-  Bytes reassembled(size, 0);
-  std::size_t covered = 0;
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    const auto& p = pkts[i];
-    EXPECT_LE(p.data.size(), mtu);
-    EXPECT_EQ(p.seq, i);
-    EXPECT_EQ(p.pkt_count, pkts.size());
-    EXPECT_EQ(p.msg_id, test_header().greq_id);
-    const std::size_t skip = p.first() ? parsed.header_bytes : 0;
-    const std::size_t n = p.data.size() - skip;
-    std::copy(p.data.begin() + static_cast<std::ptrdiff_t>(skip), p.data.end(),
-              reassembled.begin() + static_cast<std::ptrdiff_t>(p.raddr));
-    covered += n;
+TEST_P(BuildWritePackets, HeaderlessCutAdvancesFromTheBaseAddress) {
+  // The NIC's one-sided writes: raddr runs from the target address, and an
+  // empty write is still one (empty) packet.
+  const std::size_t size = GetParam();
+  const Bytes data = sized_data(size);
+  const auto pkts =
+      net::cut(net::packet(1, 2, net::Opcode::kRdmaWrite, 77, 5, 0x800, 3), {}, data, kMtu);
+  EXPECT_EQ(pkts.size(), size == 0 ? 1 : (size + kMtu - 1) / kMtu);
+  for (const auto& p : pkts) {
+    EXPECT_EQ(p.msg_id, 77u);
+    EXPECT_EQ(p.user_tag, 5u);
+    EXPECT_EQ(p.rkey, 3u);
   }
-  EXPECT_EQ(covered, size);
-  EXPECT_EQ(reassembled, data);
+  expect_train(pkts, {}, data, 0x800);
+}
+
+TEST_P(BuildWritePackets, HeadOfMtuMinusOneLeavesOneDataByteInPacketZero) {
+  const std::size_t size = GetParam();
+  const Bytes data = sized_data(size);
+  const Bytes head(kMtu - 1, 0xAB);
+  const auto pkts = net::cut(net::packet(1, 2, net::Opcode::kSend, 9, 9), head, data, kMtu);
+  EXPECT_EQ(pkts[0].data.size(), head.size() + std::min<std::size_t>(size, 1));
+  expect_train(pkts, head, data, 0);
+}
+
+TEST_P(BuildWritePackets, HeadOfMtuThrows) {
+  const Bytes data = sized_data(GetParam());
+  EXPECT_THROW(net::cut(net::packet(1, 2, net::Opcode::kSend, 9, 9), Bytes(kMtu, 0), data, kMtu),
+               std::length_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BuildWritePackets,
-                         ::testing::Values(0, 1, 100, 1900, 1950, 2048, 4096, 10000, 65536),
+                         ::testing::Values(0, 1, 100, 1900, 1950, 2048, 4096, 5000, 10000, 65536),
                          [](const ::testing::TestParamInfo<std::size_t>& pinfo) {
                            return "bytes" + std::to_string(pinfo.param);
                          });
@@ -189,7 +310,7 @@ TEST(Wire, ReadPacketIsSinglePacket) {
   ReadRequestHeader rrh;
   rrh.src_addr = 8;
   rrh.len = 100;
-  const auto pkts = build_read_packets(1, 2, test_header(OpType::kRead), rrh);
+  const auto pkts = build_request_packets(1, 2, 2048, test_header(OpType::kRead), rrh);
   ASSERT_EQ(pkts.size(), 1u);
   EXPECT_TRUE(pkts[0].first());
   EXPECT_TRUE(pkts[0].last());

@@ -366,9 +366,9 @@ TEST(SpinPath, CleanupHandlerReapsAbandonedWrite) {
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = layout.targets[0].addr;
   wrh.total_len = 18000;
-  auto pkts = dfs::build_write_packets(client.node().id(), layout.targets[0].node,
-                                       cluster.network().mtu(), hdr, wrh,
-                                       random_bytes(18000, 15));
+  auto pkts = dfs::build_request_packets(client.node().id(), layout.targets[0].node,
+                                         cluster.network().mtu(), hdr, wrh,
+                                         random_bytes(18000, 15));
   ASSERT_GT(pkts.size(), 2u);
   pkts.resize(2);
   client.node().nic().post_message(std::move(pkts));

@@ -9,23 +9,32 @@
 //  - ExtentBounds.*: a write lands only inside the extent its capability
 //    was verified for, on the sPIN and the host path, and the capability
 //    check itself cannot be defeated by an address sum that wraps.
+//  - MalformedWrite.*, MalformedRpc.*: a request whose headers do not
+//    parse (an unknown enum byte, EC fields no RS(k, m) stream has, a
+//    truncated RPC) is refused and counted; it never crashes the run and
+//    never earns an ack.
 //
-// scripts/check.sh reruns both suites under two NADFS_CHAOS_SEEDs and in
-// the sanitizer tree, where an out-of-range seq stored by index would be
-// an out-of-bounds write.
+// scripts/check.sh reruns these suites under two NADFS_CHAOS_SEEDs and in
+// the sanitizer tree, where an out-of-range seq stored by index, or a
+// parity coordinate read past the end of its list, is reported.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "auth/capability.hpp"
 #include "common/rng.hpp"
 #include "dfs/wire.hpp"
 #include "net/arrivals.hpp"
+#include "protocols/rpc.hpp"
 #include "services/client.hpp"
 #include "services/cluster.hpp"
 #include "services/host_dfs.hpp"
+#include "services/metadata_node.hpp"
 
 namespace nadfs {
 namespace {
@@ -178,8 +187,8 @@ std::vector<net::Packet> forged_write(Client& client, const services::FileLayout
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = layout.targets[0].addr;
   wrh.total_len = data.size();
-  auto pkts = dfs::build_write_packets(client.node().id(), layout.targets[0].node, 2048,
-                                       write_header(client, cap), wrh, data);
+  auto pkts = dfs::build_request_packets(client.node().id(), layout.targets[0].node, 2048,
+                                         write_header(client, cap), wrh, data);
   EXPECT_EQ(pkts.size(), 2u);
   net::Packet recount = pkts[1];
   recount.pkt_count = 3;
@@ -253,9 +262,9 @@ TEST(ExtentBounds, SpinPacketPastTheVerifiedExtentIsDroppedAndNacked) {
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = layout.targets[0].addr;
   wrh.total_len = 12 * KiB;
-  auto pkts = dfs::build_write_packets(client.node().id(), layout.targets[0].node,
-                                       cluster.network().mtu(), write_header(client, cap), wrh,
-                                       Bytes(12 * KiB, 0x5A));
+  auto pkts = dfs::build_request_packets(client.node().id(), layout.targets[0].node,
+                                         cluster.network().mtu(), write_header(client, cap), wrh,
+                                         Bytes(12 * KiB, 0x5A));
   ASSERT_GT(pkts.size(), 2u);
   pkts.back().raddr = 1 * MiB;
   const std::size_t stray = pkts.back().data.size();
@@ -286,7 +295,7 @@ void expect_host_rejects_long_payload(dfs::WriteRequestHeader wrh) {
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
   wrh.dest_addr = layout.targets[0].addr;
   wrh.total_len = 4 * KiB;
-  client.node().nic().post_message(dfs::build_write_packets(
+  client.node().nic().post_message(dfs::build_request_packets(
       client.node().id(), node.id(), cluster.network().mtu(), write_header(client, cap), wrh,
       Bytes(64 * KiB, 0x77)));
   cluster.sim().run();
@@ -311,6 +320,7 @@ TEST(ExtentBounds, HostParityContributionLongerThanItsVerifiedLengthIsNacked) {
   wrh.role = dfs::EcRole::kParity;
   wrh.ec_k = 1;
   wrh.ec_m = 1;
+  wrh.parity_nodes.resize(1);  // an RS(1, 1) header names its one parity node
   expect_host_rejects_long_payload(wrh);
 }
 
@@ -329,6 +339,140 @@ TEST(ExtentBounds, CapabilityVerifyDoesNotWrap) {
   EXPECT_TRUE(authority.verify(cap, 0, auth::Right::kWrite, 4096, 4096));
   EXPECT_TRUE(authority.verify(cap, 0, auth::Right::kWrite, 8191, 1));
   EXPECT_TRUE(authority.verify(cap, 0, auth::Right::kWrite, 8192, 0));
+}
+
+// ------------------------------------------------------- MalformedWrite
+
+struct WrhCase {
+  const char* name;
+  void (*edit)(dfs::WriteRequestHeader&);
+};
+
+/// Turn `wrh` into an EC data-stream header of RS(k, m) with m parity
+/// coordinates; each case then breaks one rule.
+void make_ec(dfs::WriteRequestHeader& wrh, std::uint8_t k, std::uint8_t m) {
+  wrh.resiliency = dfs::Resiliency::kErasureCoding;
+  wrh.ec_k = k;
+  wrh.ec_m = m;
+  wrh.parity_nodes.assign(m, dfs::Coord{0, 0x100000});
+}
+
+const WrhCase kWrhCases[] = {
+    {"unknown_resiliency",
+     [](dfs::WriteRequestHeader& h) { h.resiliency = static_cast<dfs::Resiliency>(3); }},
+    {"ec_data_idx_past_k",
+     [](dfs::WriteRequestHeader& h) {
+       make_ec(h, 3, 2);
+       h.data_idx = 3;
+     }},
+    {"ec_zero_k", [](dfs::WriteRequestHeader& h) { make_ec(h, 0, 2); }},
+    {"ec_zero_m", [](dfs::WriteRequestHeader& h) { make_ec(h, 3, 0); }},
+    {"ec_over_256_chunks", [](dfs::WriteRequestHeader& h) { make_ec(h, 200, 57); }},
+    {"ec_no_parity_coords",
+     [](dfs::WriteRequestHeader& h) {
+       make_ec(h, 3, 2);
+       h.parity_nodes.clear();
+     }},
+};
+
+void PrintTo(const WrhCase& c, std::ostream* os) { *os << c.name; }
+
+class MalformedWrite : public ::testing::TestWithParam<std::tuple<bool, WrhCase>> {};
+
+TEST_P(MalformedWrite, IsDroppedUnackedAndCounted) {
+  // Regression: deserialize took any resiliency byte, so a sPIN or host
+  // write with resiliency 3 stored nothing and was acked kOk; and EC fields
+  // were never checked, so a bad k, m or data index threw out of the codec
+  // (and out of sim.run()), and m parities with no coordinates read past
+  // the end of the parity list. Each request carries a valid capability.
+  const auto& [host_path, wrh_case] = GetParam();
+  ClusterConfig cfg;
+  cfg.storage_nodes = 1;
+  Cluster cluster(cfg);
+  auto& node = cluster.storage_node(0);
+  std::optional<HostDfsService> host;
+  if (host_path) {
+    node.uninstall_dfs();
+    host.emplace(node, cfg.dfs);
+  }
+  Client client(cluster, 0);
+  std::vector<net::Packet> seen;
+  capture_control(client, seen);
+  const auto& layout = cluster.metadata().create("a", 64 * KiB, FilePolicy{});
+  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
+  dfs::WriteRequestHeader wrh;
+  wrh.dest_addr = layout.targets[0].addr;
+  wrh.total_len = 3000;
+  wrh_case.edit(wrh);
+  client.node().nic().post_message(dfs::build_request_packets(
+      client.node().id(), node.id(), cluster.network().mtu(), write_header(client, cap), wrh,
+      random_bytes(3000, 21)));
+  EXPECT_NO_THROW(cluster.sim().run());
+
+  EXPECT_TRUE(seen.empty());
+  EXPECT_EQ(node.target().bytes_written(), 0u);
+  if (host_path) {
+    EXPECT_EQ(host->validation_failures(), 1u);
+    EXPECT_EQ(host->requests_handled(), 1u);
+  } else {
+    EXPECT_EQ(node.dfs_state()->malformed_requests, 1u);
+    EXPECT_EQ(node.dfs_state()->table.in_use(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, MalformedWrite,
+                         ::testing::Combine(::testing::Bool(), ::testing::ValuesIn(kWrhCases)),
+                         [](const auto& pinfo) {
+                           return std::string(std::get<0>(pinfo.param) ? "host_" : "spin_") +
+                                  std::get<1>(pinfo.param).name;
+                         });
+
+// --------------------------------------------------------- MalformedRpc
+
+/// Send `request` from `client` to `server` as one kSend and run: the
+/// first byte of the reply (its status), or -1 when none came back.
+int reply_status(Cluster& cluster, Client& client, net::NodeId server, Bytes request) {
+  int status = -1;
+  client.node().nic().set_recv_handler(
+      [&status](net::NodeId, std::uint64_t, Bytes reply, TimePs) {
+        status = reply.empty() ? 256 : reply[0];
+      });
+  client.node().nic().post_send(server, 1, std::move(request));
+  cluster.sim().run();
+  return status;
+}
+
+// Regression: the RPC servers and the metadata node parsed a request with
+// no catch, so a 3-byte kSend threw "ByteReader: truncated buffer" out of
+// sim.run(). Each now answers with a non-OK status.
+
+TEST(MalformedRpc, RpcServerAnswersATruncatedRequest) {
+  Cluster cluster;
+  protocols::RpcWrite rpc(cluster);
+  Client client(cluster, 0);
+  int status = -1;
+  EXPECT_NO_THROW(status = reply_status(cluster, client, cluster.storage_node(0).id(), {1, 2, 3}));
+  EXPECT_GT(status, 0);
+  EXPECT_EQ(rpc.validation_failures(), 1u);
+}
+
+TEST(MalformedRpc, RpcRdmaServerAnswersATruncatedRequest) {
+  Cluster cluster;
+  protocols::RpcRdmaWrite rpc(cluster);
+  Client client(cluster, 0);
+  int status = -1;
+  EXPECT_NO_THROW(status = reply_status(cluster, client, cluster.storage_node(0).id(), {1, 2, 3}));
+  EXPECT_GT(status, 0);
+  EXPECT_EQ(rpc.validation_failures(), 1u);
+}
+
+TEST(MalformedRpc, MetadataNodeAnswersATruncatedRequest) {
+  Cluster cluster;
+  services::MetadataNode meta(cluster);
+  Client client(cluster, 0);
+  int status = -1;
+  EXPECT_NO_THROW(status = reply_status(cluster, client, meta.id(), {1, 2, 3}));
+  EXPECT_GT(status, 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests of the RDMA NIC model: verbs semantics (WRITE/READ/SEND),
-// rkey protection, packetization, transport acks, triggered-WQE chains
+// rkey protection, transport acks, triggered-WQE chains
 // (the HyperLoop substrate), and the host-facing hooks.
 #include <gtest/gtest.h>
 
@@ -131,31 +131,6 @@ TEST(RdmaNic, SendDeliversAssembledMessage) {
   EXPECT_EQ(from, rig.a.id());
   EXPECT_EQ(tag, 0xBEEFu);
   EXPECT_EQ(got, msg);
-}
-
-TEST(RdmaNic, PacketizeRespectsMtuAndAdvancesAddresses) {
-  Rig rig;
-  Bytes data(5000, 1);
-  const auto pkts = rig.a.packetize_write(rig.b.id(), 0x800, 3, data, 77, 5);
-  ASSERT_EQ(pkts.size(), 3u);  // 2048 + 2048 + 904
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    EXPECT_EQ(pkts[i].raddr, 0x800 + off);
-    EXPECT_EQ(pkts[i].seq, i);
-    EXPECT_EQ(pkts[i].pkt_count, 3u);
-    EXPECT_EQ(pkts[i].msg_id, 77u);
-    EXPECT_EQ(pkts[i].user_tag, 5u);
-    EXPECT_LE(pkts[i].data.size(), rig.net.mtu());
-    off += pkts[i].data.size();
-  }
-  EXPECT_EQ(off, data.size());
-}
-
-TEST(RdmaNic, EmptyWriteStillOnePacket) {
-  Rig rig;
-  const auto pkts = rig.a.packetize_write(rig.b.id(), 0, 0, Bytes{}, 1, 0);
-  ASSERT_EQ(pkts.size(), 1u);
-  EXPECT_TRUE(pkts[0].data.empty());
 }
 
 TEST(RdmaNic, WriteNotifyFiresOnceWithTotals) {
