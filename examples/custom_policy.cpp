@@ -75,7 +75,7 @@ spin::ExecutionContext make_checksum_context(std::shared_ptr<ChecksumState> st) 
     c.charge(30, 50);
     c.charge_per_byte(payload.size(), 2, 3);  // the checksum loop
     it->second.hash = fnv1a(it->second.hash, payload);
-    c.dma_to_storage(it->second.dest + off, Bytes(payload.begin(), payload.end()));
+    c.dma_to_storage(it->second.dest + off, payload);  // straight from the packet
   };
 
   ctx.completion_handler = [st](spin::HandlerCtx& c, const net::Packet& pkt) {

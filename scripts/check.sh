@@ -73,10 +73,14 @@ done
 # a parity coordinate read past its list fails loudly), and the packet-train
 # suites: BuildWritePackets (every cutter input), Reassembly,
 # ForgedPacketCount and ReadPath (exact bytes on every read-response train).
+# The sPIN data-path suites ride along too: AllocBudget (heap allocations
+# per packet), HandlerCtx, PsPinDevice, DfsHandlers and RdmaNic. A payload
+# handler's storage DMA borrows the packet until its replay, so under the
+# sanitizer a borrowed source that dies first fails loudly.
 for seed in 1 7; do
   echo "== chaos/fault + wire suites under NADFS_CHAOS_SEED=$seed"
   NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|DuplicatePackets|ExtentBounds|MalformedWrite|MalformedRpc|Wire|BuildWritePackets|Reassembly|ForgedPacketCount|ReadPath'
+    -R 'Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|DuplicatePackets|ExtentBounds|MalformedWrite|MalformedRpc|Wire|BuildWritePackets|Reassembly|ForgedPacketCount|ReadPath|AllocBudget|HandlerCtx|PsPinDevice|DfsHandlers|RdmaNic'
 done
 
 # Fabric partition chaos under both seeds (also covered by the loop above;
@@ -215,6 +219,35 @@ with open(os.path.join(d, "chaos_trace_timeseries.csv")) as fh:
 assert len(rows) > 1 and rows[0].startswith("t_ns,"), "bad timeseries CSV"
 print(f"obs artifacts OK: {len(rows)-1} samples, trace + metrics parse")
 EOF
+
+# Repository benchmark pins (default mode only): each perfbench workload
+# runs for 1 s on seed 1 and must exit 0 (its correctness gate) and print
+# the digest sum recorded for its simulated traffic. Host-side work (the
+# data path's copies and allocations) may change; what the benchmark
+# simulates may not. The perfbench build lives inside the build tree.
+if [ "$SANITIZE" = "OFF" ]; then
+  echo "== perfbench workloads: exit 0 and pinned digest sums (seed 1, 1 s)"
+  declare -A PERFBENCH_DIGESTS=(
+    [line_mix]=0x4238370db4bb2510
+    [ec_overload]=0x18cc90a6990e26be
+    [host_betree]=0xb873db4757933e76
+  )
+  for workload in line_mix ec_overload host_betree; do
+    want="${PERFBENCH_DIGESTS[$workload]}"
+    if ! out="$(CARGO_TARGET_DIR="$PWD/$BUILD_DIR/perfbench-build" \
+                python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0)"; then
+      echo "$out" | tail -n 20
+      echo "FAIL: perfbench $workload exited non-zero"
+      exit 1
+    fi
+    if ! grep -q "(digest sum $want)" <<<"$out"; then
+      echo "$out" | grep "digest sum" || true
+      echo "FAIL: perfbench $workload digest sum differs from $want"
+      exit 1
+    fi
+    echo "perfbench $workload OK: digest sum $want"
+  done
+fi
 
 # The obs compile-out gate must stay buildable: with NADFS_OBS=OFF the
 # span/sampler hooks compile to nothing and the obs suites must still pass

@@ -1,5 +1,8 @@
 #include "auth/capability.hpp"
 
+#include <array>
+#include <cstring>
+
 namespace nadfs::auth {
 
 void Capability::serialize(ByteWriter& w) const {
@@ -25,14 +28,20 @@ Capability Capability::deserialize(ByteReader& r) {
 }
 
 std::uint64_t CapabilityAuthority::compute_mac(const Capability& cap) const {
-  Bytes buf;
-  ByteWriter w(buf);
-  w.put(cap.client_id);
-  w.put(cap.object_id);
-  w.put(static_cast<std::uint8_t>(cap.rights));
-  w.put(cap.expiry_ps);
-  w.put(cap.extent_base);
-  w.put(cap.extent_len);
+  // The signed fields in wire order (every field but the MAC), packed into
+  // a stack array: verify() runs once per request, so no heap buffer.
+  std::array<std::uint8_t, Capability::kWireBytes - sizeof(cap.mac)> buf;
+  std::size_t at = 0;
+  const auto put = [&buf, &at](auto v) {
+    std::memcpy(buf.data() + at, &v, sizeof(v));
+    at += sizeof(v);
+  };
+  put(cap.client_id);
+  put(cap.object_id);
+  put(static_cast<std::uint8_t>(cap.rights));
+  put(cap.expiry_ps);
+  put(cap.extent_base);
+  put(cap.extent_len);
   return siphash24(key_, buf);
 }
 

@@ -15,27 +15,39 @@ using Bytes = std::vector<std::uint8_t>;
 using ByteSpan = std::span<const std::uint8_t>;
 using MutByteSpan = std::span<std::uint8_t>;
 
-/// Appends scalars/byte-ranges to a growing buffer (little-endian).
+/// Writes scalars/byte-ranges (little-endian) at a cursor that starts at
+/// the end of `out`. `size` grows `out` once by that many bytes, so a
+/// header of known wire size is written with no per-field resize; a write
+/// past the end of `out` grows it.
 class ByteWriter {
  public:
-  explicit ByteWriter(Bytes& out) : out_(out) {}
+  explicit ByteWriter(Bytes& out, std::size_t size = 0) : out_(out), pos_(out.size()) {
+    out_.resize(pos_ + size);
+  }
 
   template <typename T>
   void put(T v) {
     static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
-    const auto old = out_.size();
-    out_.resize(old + sizeof(T));
-    std::memcpy(out_.data() + old, &v, sizeof(T));
+    std::memcpy(room(sizeof(T)), &v, sizeof(T));
   }
 
   void put_bytes(ByteSpan data) {
-    out_.insert(out_.end(), data.begin(), data.end());
+    if (!data.empty()) std::memcpy(room(data.size()), data.data(), data.size());
   }
 
-  std::size_t size() const { return out_.size(); }
+  /// Position of the cursor in `out`.
+  std::size_t size() const { return pos_; }
 
  private:
+  std::uint8_t* room(std::size_t n) {
+    if (out_.size() - pos_ < n) out_.resize(pos_ + n);
+    std::uint8_t* at = out_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+
   Bytes& out_;
+  std::size_t pos_;
 };
 
 /// Reads scalars/byte-ranges from a fixed buffer; throws on overrun so that

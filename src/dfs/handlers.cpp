@@ -199,7 +199,7 @@ void forward_packet(HandlerCtx& ctx, const net::Packet& pkt, std::size_t header_
 void payload_ec_data(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt, ReqEntry& entry,
                      ByteSpan payload, std::uint64_t data_off) {
   ctx.charge(cost::kEcPhBaseInstr, cost::kEcPhBaseCycles);
-  ctx.dma_to_storage(entry.dest_addr + data_off, Bytes(payload.begin(), payload.end()));
+  ctx.dma_to_storage(entry.dest_addr + data_off, payload);
 
   const unsigned m = entry.ec_m;
   // One fused pass over the payload computes all m intermediate parities:
@@ -263,8 +263,7 @@ void payload_ec_parity(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt, Re
     // Bounce the contribution to a host staging area; the host software
     // XORs it (functionally tracked in host_agg) and commits the parity
     // when the last stream contributed.
-    ctx.dma_to_storage(entry.dest_addr + entry.total_len + data_off,
-                       Bytes(payload.begin(), payload.end()));
+    ctx.dma_to_storage(entry.dest_addr + entry.total_len + data_off, payload);
     auto& buf = st.host_agg[akey];
     if (buf.size() < payload.size()) buf.resize(payload.size(), 0);
     ec::ReedSolomon::aggregate(buf, payload);
@@ -299,6 +298,8 @@ void payload_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
     return;
   }
 
+  // The payload in the packet buffer: the PHs' storage DMAs borrow it,
+  // which holds because the device replays them before the packet goes.
   const std::size_t skip = pkt.first() ? entry.header_bytes : 0;
   const ByteSpan payload(pkt.data.data() + skip, pkt.data.size() - skip);
   const std::uint64_t data_off = pkt.first() ? 0 : pkt.raddr;
@@ -314,11 +315,11 @@ void payload_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
   switch (entry.resiliency) {
     case Resiliency::kNone:
       ctx.charge(cost::kPhBaseInstr, cost::kPhBaseCycles);
-      ctx.dma_to_storage(entry.dest_addr + data_off, Bytes(payload.begin(), payload.end()));
+      ctx.dma_to_storage(entry.dest_addr + data_off, payload);
       break;
     case Resiliency::kReplication: {
       ctx.charge(cost::kPhBaseInstr, cost::kPhBaseCycles);
-      ctx.dma_to_storage(entry.dest_addr + data_off, Bytes(payload.begin(), payload.end()));
+      ctx.dma_to_storage(entry.dest_addr + data_off, payload);
       for (std::size_t i = 0; i < entry.children.size(); ++i) {
         ctx.charge(i == 0 ? cost::kSendFirstInstr : cost::kSendExtraInstr,
                    i == 0 ? cost::kSendFirstCycles : cost::kSendExtraCycles);

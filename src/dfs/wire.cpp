@@ -189,7 +189,7 @@ ExtentRequestHeader ExtentRequestHeader::deserialize(ByteReader& r) {
 
 Bytes serialize_write_headers(const DfsHeader& dfs, const WriteRequestHeader& wrh) {
   Bytes out;
-  ByteWriter w(out);
+  ByteWriter w(out, DfsHeader::kWireBytes + wrh.wire_bytes());
   dfs.serialize(w);
   wrh.serialize(w);
   return out;

@@ -112,6 +112,7 @@ struct ReadRequestHeader {
   std::uint32_t len = 0;
 
   static constexpr std::size_t kWireBytes = 8 + 4;
+  static constexpr std::size_t wire_bytes() { return kWireBytes; }
   void serialize(ByteWriter& w) const;
   static ReadRequestHeader deserialize(ByteReader& r);
 };
@@ -122,6 +123,7 @@ struct ExtentRequestHeader {
   std::uint64_t len = 0;
 
   static constexpr std::size_t kWireBytes = 8 + 8;
+  static constexpr std::size_t wire_bytes() { return kWireBytes; }
   void serialize(ByteWriter& w) const;
   static ExtentRequestHeader deserialize(ByteReader& r);
 };
@@ -149,7 +151,7 @@ std::vector<net::Packet> build_request_packets(net::NodeId src, net::NodeId dst,
                                                const DfsHeader& dfs, const OpHeader& op_header,
                                                ByteSpan data = {}) {
   Bytes head;
-  ByteWriter w(head);
+  ByteWriter w(head, DfsHeader::kWireBytes + op_header.wire_bytes());
   dfs.serialize(w);
   op_header.serialize(w);
   return net::cut(net::packet(src, dst, net::Opcode::kRdmaWrite, dfs.greq_id, dfs.greq_id), head,

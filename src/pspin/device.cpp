@@ -132,10 +132,11 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
       case spin::HandlerCtx::Cmd::Kind::kSendFromStorage: {
         // Scatter-gather send: the NIC gathers the payload over PCIe at
         // transmit time; the HPU does not block on the DMA, only on the
-        // command-queue slot. The gather pipelines with the wire.
+        // command-queue slot. The gather pipelines with the wire, and the
+        // bytes it reads are the packet's payload.
         cursor = egress_accept(cursor);
         auto [data, ready] = nic_->dma_from_storage(cmd.addr, cmd.len, cursor);
-        (void)data;  // payload was filled functionally at record time
+        cmd.pkt.data = std::move(data);
         const TimePs earliest = std::max({ready, msg.last_send_start + 1});
         const auto w = nic_->egress_send(std::move(cmd.pkt), earliest);
         msg.last_send_start = w.start;
@@ -145,7 +146,7 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
       case spin::HandlerCtx::Cmd::Kind::kDma: {
         // Fire-and-forget toward the storage target; durability is tracked
         // per message for the CH's storage fence.
-        const TimePs durable = nic_->dma_to_storage(cmd.addr, std::move(cmd.data), cursor);
+        const TimePs durable = nic_->dma_to_storage(cmd.addr, cmd.data, cursor);
         msg.dma_durable_max = std::max(msg.dma_durable_max, durable);
         break;
       }
@@ -155,12 +156,6 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
         // trim-then-ack CH keeps the persistence guarantee.
         const TimePs durable = nic_->trim_storage(cmd.addr, cmd.len, cursor);
         msg.dma_durable_max = std::max(msg.dma_durable_max, durable);
-        break;
-      }
-      case spin::HandlerCtx::Cmd::Kind::kDmaRead: {
-        auto [data, done] = nic_->dma_from_storage(cmd.addr, cmd.len, cursor);
-        (void)data;  // functional bytes were already delivered at record time
-        cursor = std::max(cursor, done);
         break;
       }
       case spin::HandlerCtx::Cmd::Kind::kFence: {
@@ -183,14 +178,13 @@ TimePs PsPinDevice::run_handler(spin::HandlerType type, const spin::Handler& han
   auto it = std::min_element(cluster_hpus.begin(), cluster_hpus.end());
   const TimePs start = std::max(ready, *it) + config_.hpu_dispatch;
 
-  spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot);
-  ctx.set_storage_reader(
-      [this](std::uint64_t addr, std::size_t len) { return nic_->peek_storage(addr, len); });
+  spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot, std::move(cmd_buf_));
   ctx.set_storage_prober(
       [this](std::uint64_t addr, std::uint64_t len) { return nic_->storage_trimmed(addr, len); });
   handler(ctx, pkt);
 
   const TimePs end = replay(ctx, msg, start);
+  cmd_buf_ = ctx.take_commands();
   *it = end;
   stats_.record(type, end - start, ctx.instr());
   last_handler_end_ = std::max(last_handler_end_, end);
@@ -306,9 +300,10 @@ void PsPinDevice::run_cleanup(const spin::MessageKey& key) {
   auto hpu = std::min_element(cluster_hpus.begin(), cluster_hpus.end());
   const TimePs start = std::max(sim_.now(), *hpu) + config_.hpu_dispatch;
 
-  spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot);
+  spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot, std::move(cmd_buf_));
   ctx_->cleanup_handler(ctx, key);
   const TimePs end = replay(ctx, msg, start);
+  cmd_buf_ = ctx.take_commands();
   if (obs::kObsEnabled && span_trace_) {
     span_trace_->record({nic_->node_id(),
                          msg.cluster * 1000 +

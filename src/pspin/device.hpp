@@ -213,7 +213,8 @@ class PsPinDevice {
                      const net::Packet& pkt, MsgState& msg, TimePs ready);
 
   /// Replay a recorded context timeline starting at `start`; returns the
-  /// end time.
+  /// end time. A command's borrowed DMA source (the packet being handled)
+  /// is read here, so the replay follows its handler run directly.
   TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start);
 
   /// Acquire an egress command-queue slot for a send ready at `want`.
@@ -235,6 +236,10 @@ class PsPinDevice {
   std::vector<std::vector<TimePs>> hpu_free_;             // per cluster, per HPU
 
   EgressSlots egress_;  // bounded egress command queue
+
+  /// The command buffer lent to each handler run and taken back, emptied,
+  /// after its replay: runs reuse one allocation instead of growing their own.
+  std::vector<spin::HandlerCtx::Cmd> cmd_buf_;
 
   std::unordered_map<spin::MessageKey, MsgState, spin::MessageKeyHash> messages_;
   unsigned next_cluster_ = 0;

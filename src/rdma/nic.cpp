@@ -34,7 +34,13 @@ bool Nic::rkey_valid(std::uint32_t rkey, std::uint64_t addr, std::uint64_t len) 
   if (rkey == 0) return true;
   auto it = mrs_.find(rkey);
   if (it == mrs_.end()) return false;
-  return addr >= it->second.base && addr + len <= it->second.base + it->second.len;
+  // Compared as an offset into the region, so no sum can wrap: with
+  // `addr + len` an access ending past 2^64 would wrap below the region's
+  // end and pass.
+  const MR& mr = it->second;
+  if (addr < mr.base) return false;
+  const std::uint64_t off = addr - mr.base;
+  return off <= mr.len && len <= mr.len - off;
 }
 
 void Nic::post(std::vector<net::Packet> pkts, TimePs start, const char* span) {
@@ -124,7 +130,7 @@ sim::Window Nic::egress_send(net::Packet pkt, TimePs ready) {
   return w;
 }
 
-TimePs Nic::dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) {
+TimePs Nic::dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) {
   const std::uint64_t bytes = data.size();
   const auto w = pcie_.reserve(data.size(), ready);
   const TimePs durable = memory_.write(addr, data, w.end + config_.pcie_latency);
@@ -157,8 +163,6 @@ std::pair<Bytes, TimePs> Nic::dma_from_storage(std::uint64_t addr, std::size_t l
   const auto w = pcie_.reserve(len, r.ready + config_.pcie_latency);
   return {std::move(r.data), w.end + config_.pcie_latency};
 }
-
-Bytes Nic::peek_storage(std::uint64_t addr, std::size_t len) { return memory_.read(addr, len); }
 
 TimePs Nic::trim_storage(std::uint64_t addr, std::uint64_t len, TimePs ready) {
   // Trim is a metadata-sized command: PCIe latency, no payload DMA burst.

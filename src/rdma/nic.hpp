@@ -167,10 +167,9 @@ class Nic : public net::PacketSink, public spin::NicServices {
 
   // ---- spin::NicServices ------------------------------------------------
   sim::Window egress_send(net::Packet pkt, TimePs ready) override;
-  TimePs dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) override;
+  TimePs dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) override;
   std::pair<Bytes, TimePs> dma_from_storage(std::uint64_t addr, std::size_t len,
                                             TimePs ready) override;
-  Bytes peek_storage(std::uint64_t addr, std::size_t len) override;
   TimePs trim_storage(std::uint64_t addr, std::uint64_t len, TimePs ready) override;
   bool storage_trimmed(std::uint64_t addr, std::uint64_t len) override;
   void notify_host(std::uint64_t code, std::uint64_t arg, TimePs when) override;

@@ -11,58 +11,41 @@ const char* handler_type_name(HandlerType t) {
   return "?";
 }
 
-void HandlerCtx::send(net::Packet pkt) {
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kSend;
+HandlerCtx::Cmd& HandlerCtx::record(Cmd::Kind kind) {
+  Cmd& cmd = cmds_.emplace_back();
+  cmd.kind = kind;
   cmd.cycle_offset = cycles_;
-  cmd.pkt = std::move(pkt);
-  cmds_.push_back(std::move(cmd));
+  return cmd;
 }
 
-void HandlerCtx::dma_to_storage(std::uint64_t addr, Bytes data) {
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kDma;
-  cmd.cycle_offset = cycles_;
+void HandlerCtx::send(net::Packet pkt) { record(Cmd::Kind::kSend).pkt = std::move(pkt); }
+
+void HandlerCtx::dma_to_storage(std::uint64_t addr, ByteSpan data) {
+  Cmd& cmd = record(Cmd::Kind::kDma);
   cmd.addr = addr;
-  cmd.data = std::move(data);
-  cmds_.push_back(std::move(cmd));
+  cmd.data = data;
 }
 
-void HandlerCtx::storage_fence() {
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kFence;
-  cmd.cycle_offset = cycles_;
-  cmds_.push_back(std::move(cmd));
+void HandlerCtx::dma_to_storage(std::uint64_t addr, Bytes&& data) {
+  Cmd& cmd = record(Cmd::Kind::kDma);
+  cmd.addr = addr;
+  cmd.owned = std::move(data);
+  cmd.data = cmd.owned;  // the heap buffer stays put when the command moves
 }
+
+void HandlerCtx::storage_fence() { record(Cmd::Kind::kFence); }
 
 void HandlerCtx::send_from_storage(net::Packet pkt, std::uint64_t addr, std::size_t len) {
-  pkt.data = storage_reader_ ? storage_reader_(addr, len) : Bytes(len, 0);
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kSendFromStorage;
-  cmd.cycle_offset = cycles_;
+  Cmd& cmd = record(Cmd::Kind::kSendFromStorage);
   cmd.pkt = std::move(pkt);
   cmd.addr = addr;
   cmd.len = len;
-  cmds_.push_back(std::move(cmd));
-}
-
-Bytes HandlerCtx::read_storage(std::uint64_t addr, std::size_t len) {
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kDmaRead;
-  cmd.cycle_offset = cycles_;
-  cmd.addr = addr;
-  cmd.len = len;
-  cmds_.push_back(std::move(cmd));
-  return storage_reader_ ? storage_reader_(addr, len) : Bytes(len, 0);
 }
 
 void HandlerCtx::trim_storage(std::uint64_t addr, std::uint64_t len) {
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kTrim;
-  cmd.cycle_offset = cycles_;
+  Cmd& cmd = record(Cmd::Kind::kTrim);
   cmd.addr = addr;
   cmd.len = static_cast<std::size_t>(len);
-  cmds_.push_back(std::move(cmd));
 }
 
 bool HandlerCtx::storage_trimmed(std::uint64_t addr, std::uint64_t len) {
@@ -70,12 +53,9 @@ bool HandlerCtx::storage_trimmed(std::uint64_t addr, std::uint64_t len) {
 }
 
 void HandlerCtx::notify_host(std::uint64_t code, std::uint64_t arg) {
-  Cmd cmd;
-  cmd.kind = Cmd::Kind::kNotify;
-  cmd.cycle_offset = cycles_;
+  Cmd& cmd = record(Cmd::Kind::kNotify);
   cmd.code = code;
   cmd.arg = arg;
-  cmds_.push_back(std::move(cmd));
 }
 
 }  // namespace nadfs::spin

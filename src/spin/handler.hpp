@@ -9,7 +9,11 @@
 // issued. The PsPIN device then replays the recorded timeline against the
 // simulated shared resources (HPU occupancy, bounded egress command queue,
 // PCIe DMA engine), which is where stalls — and the paper's headline IPC
-// collapse for sPIN-PBT — come from.
+// collapse for sPIN-PBT — come from. The replay follows the run directly,
+// so the commands move each byte once: a storage DMA borrows its source
+// (the packet, as PsPIN handlers get pointers into the packet buffer),
+// and a scatter-gather send's payload is what the replay reads from
+// storage.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +47,26 @@ struct MessageKeyHash {
 
 class HandlerCtx {
  public:
-  HandlerCtx(net::NodeId self, std::uint64_t now_ps, std::uint32_t flow_slot)
-      : self_(self), now_ps_(now_ps), flow_slot_(flow_slot) {}
+  /// A recorded NIC command, tagged with the charged cycles at its issue.
+  struct Cmd {
+    enum class Kind : std::uint8_t { kSend, kSendFromStorage, kDma, kTrim, kFence, kNotify };
+    Kind kind = Kind::kSend;
+    std::uint64_t cycle_offset = 0;  ///< charged cycles when the command issued
+    net::Packet pkt;                 // kSend / kSendFromStorage
+    std::uint64_t addr = 0;          // kSendFromStorage / kDma / kTrim
+    std::size_t len = 0;             // kSendFromStorage / kTrim
+    ByteSpan data;                   // kDma: the bytes to write, borrowed or in `owned`
+    Bytes owned;                     // kDma: backs `data` when the handler gave its bytes up
+    std::uint64_t code = 0;          // kNotify
+    std::uint64_t arg = 0;           // kNotify
+  };
+
+  /// `commands` is an empty buffer the context records into; a device
+  /// lends its own so that no handler run grows a new one, and takes it
+  /// back with take_commands() after the replay.
+  HandlerCtx(net::NodeId self, std::uint64_t now_ps, std::uint32_t flow_slot,
+             std::vector<Cmd> commands = {})
+      : self_(self), now_ps_(now_ps), flow_slot_(flow_slot), cmds_(std::move(commands)) {}
 
   // ---- cost charging -------------------------------------------------
   /// Charge `instr` executed instructions taking `cycles` HPU cycles
@@ -68,23 +90,27 @@ class HandlerCtx {
   void send(net::Packet pkt);
 
   /// Write `data` to the storage target at `addr` via the NIC DMA engine.
-  void dma_to_storage(std::uint64_t addr, Bytes data);
+  /// The DMA reads `data` at replay, so it borrows it: `data` must stay
+  /// valid until this handler's replay. The packet being handled does
+  /// (a payload handler DMAs straight from the NIC packet buffer, as in
+  /// PsPIN); a buffer the handler is about to reuse or free does not.
+  void dma_to_storage(std::uint64_t addr, ByteSpan data);
+
+  /// Owning form, for bytes the handler hands over (an accumulator's
+  /// committed parity): the command keeps them alive until the replay.
+  void dma_to_storage(std::uint64_t addr, Bytes&& data);
 
   /// Block (at replay) until every storage DMA issued so far *for this
   /// message* is durable — the explicit-flush persistence guarantee of
   /// §III-B.1 that RDMA-based DFSs lack.
   void storage_fence();
 
-  /// Read from the storage target via the NIC DMA engine (offloaded DFS
-  /// reads). Functionally returns the bytes immediately; at replay time the
-  /// HPU blocks until the DMA completes before executing anything after it.
-  Bytes read_storage(std::uint64_t addr, std::size_t len);
-
   /// Scatter-gather send: post a send whose payload the NIC gathers from
   /// the storage target at transmit time ([addr, addr+len)). The HPU only
   /// pays the descriptor post; the DMA pipelines with the wire — this is
   /// how the offloaded read path streams large extents at line rate.
-  /// `pkt` must arrive with an empty payload; it is filled functionally.
+  /// `pkt` must arrive with an empty payload: the bytes the gather reads
+  /// at replay become it, so storage is read once per packet.
   void send_from_storage(net::Packet pkt, std::uint64_t addr, std::size_t len);
 
   /// Tombstone [addr, addr+len) on the storage target (DFS delete data
@@ -107,25 +133,6 @@ class HandlerCtx {
   std::uint32_t flow_slot() const { return flow_slot_; }
 
   // ---- recorded results (consumed by the PsPIN device) -----------------
-  struct Cmd {
-    enum class Kind : std::uint8_t {
-      kSend, kSendFromStorage, kDma, kDmaRead, kTrim, kFence, kNotify
-    };
-    Kind kind;
-    std::uint64_t cycle_offset;  ///< charged cycles when the command issued
-    net::Packet pkt;             // kSend
-    std::uint64_t addr = 0;      // kDma / kDmaRead / kTrim
-    std::size_t len = 0;         // kDmaRead / kTrim
-    Bytes data;                  // kDma
-    std::uint64_t code = 0;      // kNotify
-    std::uint64_t arg = 0;       // kNotify
-  };
-
-  /// Installed by the device before the functional run: backs read_storage.
-  void set_storage_reader(std::function<Bytes(std::uint64_t, std::size_t)> fn) {
-    storage_reader_ = std::move(fn);
-  }
-
   /// Installed by the device before the functional run: backs storage_trimmed.
   void set_storage_prober(std::function<bool(std::uint64_t, std::uint64_t)> fn) {
     storage_prober_ = std::move(fn);
@@ -135,15 +142,21 @@ class HandlerCtx {
   std::uint64_t cycles() const { return cycles_; }
   const std::vector<Cmd>& commands() const { return cmds_; }
   std::vector<Cmd>& commands() { return cmds_; }
+  /// Hand the command buffer back, emptied but with its capacity.
+  std::vector<Cmd> take_commands() {
+    cmds_.clear();
+    return std::move(cmds_);
+  }
 
  private:
+  Cmd& record(Cmd::Kind kind);
+
   net::NodeId self_;
   std::uint64_t now_ps_;
   std::uint32_t flow_slot_;
   std::uint64_t instr_ = 0;
   std::uint64_t cycles_ = 0;
   std::vector<Cmd> cmds_;
-  std::function<Bytes(std::uint64_t, std::size_t)> storage_reader_;
   std::function<bool(std::uint64_t, std::uint64_t)> storage_prober_;
 };
 

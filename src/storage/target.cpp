@@ -11,7 +11,7 @@ Target::Target(sim::Simulator& simulator, TargetConfig config)
       engine_(make_engine(simulator, config.engine, config.ingest)) {}
 
 TimePs Target::write(std::uint64_t addr, ByteSpan data, TimePs earliest) {
-  if (addr + data.size() > config_.capacity) {
+  if (beyond_capacity(addr, data.size())) {
     throw std::out_of_range("storage::Target::write: beyond capacity");
   }
   bytes_written_ += data.size();
@@ -20,7 +20,7 @@ TimePs Target::write(std::uint64_t addr, ByteSpan data, TimePs earliest) {
 }
 
 TimePs Target::trim(std::uint64_t addr, std::uint64_t len, TimePs earliest) {
-  if (addr + len > config_.capacity) {
+  if (beyond_capacity(addr, len)) {
     throw std::out_of_range("storage::Target::trim: beyond capacity");
   }
   if (len == 0) return engine_->trim(addr, 0, earliest);
@@ -74,14 +74,14 @@ void Target::untrim(std::uint64_t addr, std::uint64_t len) {
 }
 
 Bytes Target::read(std::uint64_t addr, std::size_t len) const {
-  if (addr + len > config_.capacity) {
+  if (beyond_capacity(addr, len)) {
     throw std::out_of_range("storage::Target::read: beyond capacity");
   }
   return engine_->read(addr, len);
 }
 
 StorageEngine::TimedRead Target::read_at(std::uint64_t addr, std::size_t len, TimePs earliest) {
-  if (addr + len > config_.capacity) {
+  if (beyond_capacity(addr, len)) {
     throw std::out_of_range("storage::Target::read: beyond capacity");
   }
   return engine_->read_at(addr, len, earliest);

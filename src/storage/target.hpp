@@ -76,6 +76,11 @@ class Target {
 
  private:
   void untrim(std::uint64_t addr, std::uint64_t len);
+  /// Does [addr, addr+len) reach past the capacity? Compared without a sum
+  /// that could wrap past 2^64.
+  bool beyond_capacity(std::uint64_t addr, std::uint64_t len) const {
+    return addr > config_.capacity || len > config_.capacity - addr;
+  }
 
   sim::Simulator& sim_;
   TargetConfig config_;

@@ -26,7 +26,7 @@ class FakeNic : public spin::NicServices {
     sent.push_back(std::move(pkt));
     return {ready, ready + ns(41)};
   }
-  TimePs dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) override {
+  TimePs dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) override {
     std::copy(data.begin(), data.end(), storage.begin() + static_cast<std::ptrdiff_t>(addr));
     return ready + ns(250);
   }
@@ -34,7 +34,7 @@ class FakeNic : public spin::NicServices {
                                             TimePs ready) override {
     return {peek_storage(addr, len), ready + ns(250)};
   }
-  Bytes peek_storage(std::uint64_t addr, std::size_t len) override {
+  Bytes peek_storage(std::uint64_t addr, std::size_t len) const {
     return Bytes(storage.begin() + static_cast<std::ptrdiff_t>(addr),
                  storage.begin() + static_cast<std::ptrdiff_t>(addr + len));
   }

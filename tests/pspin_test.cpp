@@ -42,15 +42,17 @@ class FakeNic : public spin::NicServices {
     sent.push_back(SentRecord{std::move(pkt), ready});
     return {start, end};
   }
-  TimePs dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) override {
+  TimePs dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) override {
     std::copy(data.begin(), data.end(), storage.begin() + static_cast<std::ptrdiff_t>(addr));
     return ready + dma_latency;
   }
   std::pair<Bytes, TimePs> dma_from_storage(std::uint64_t addr, std::size_t len,
                                             TimePs ready) override {
+    ++storage_reads;
     return {peek_storage(addr, len), ready + dma_latency};
   }
-  Bytes peek_storage(std::uint64_t addr, std::size_t len) override {
+  std::size_t storage_reads = 0;
+  Bytes peek_storage(std::uint64_t addr, std::size_t len) const {
     return Bytes(storage.begin() + static_cast<std::ptrdiff_t>(addr),
                  storage.begin() + static_cast<std::ptrdiff_t>(addr + len));
   }
@@ -270,32 +272,42 @@ TEST(PsPinDevice, FunctionalDataReachesStorage) {
   EXPECT_EQ(nic.storage[100 + 4096], 3);
 }
 
-TEST(PsPinDevice, ReadStorageBlocksReplay) {
+TEST(PsPinDevice, SendFromStorageGathersOnceAtReplay) {
+  // A CH streaming a 5-packet extent reads storage once per packet, when
+  // the NIC gathers the payload at replay: the packets carry what storage
+  // holds then, including the bytes of a DMA the CH issued before them.
   sim::Simulator sim;
   FakeNic nic(sim);
-  nic.dma_latency = us(5);
-  nic.storage[7] = 0x77;
   PsPinDevice dev(sim);
   dev.attach_nic(nic);
 
-  Bytes seen;
+  Bytes extent(5 * 100);
+  for (std::size_t i = 0; i < extent.size(); ++i) extent[i] = static_cast<std::uint8_t>(i * 7 + 3);
   spin::ExecutionContext ctx;
   ctx.header_handler = [](HandlerCtx& c, const net::Packet&) { c.charge(1, 1); };
   ctx.payload_handler = [](HandlerCtx& c, const net::Packet&) { c.charge(1, 1); };
-  ctx.completion_handler = [&seen](HandlerCtx& c, const net::Packet&) {
+  ctx.completion_handler = [&extent](HandlerCtx& c, const net::Packet&) {
     c.charge(1, 1);
-    seen = c.read_storage(7, 1);  // functional data available immediately
-    net::Packet resp;
-    resp.dst = 1;
-    c.send(std::move(resp));
+    c.dma_to_storage(0x100, extent);
+    for (std::uint32_t s = 0; s < 5; ++s) {
+      net::Packet resp;
+      resp.dst = 1;
+      resp.seq = s;
+      resp.pkt_count = 5;
+      c.send_from_storage(std::move(resp), 0x100 + s * 100, 100);
+    }
   };
   dev.install(std::move(ctx));
   dev.on_packet(make_packet(1, 0, 1));
   sim.run();
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], 0x77);
-  ASSERT_EQ(nic.sent.size(), 1u);
-  EXPECT_GE(nic.sent[0].ready, us(5));  // replay waited for the DMA read
+
+  EXPECT_EQ(nic.storage_reads, 5u);
+  ASSERT_EQ(nic.sent.size(), 5u);
+  for (std::uint32_t s = 0; s < 5; ++s) {
+    EXPECT_EQ(nic.sent[s].pkt.data,
+              Bytes(extent.begin() + s * 100, extent.begin() + (s + 1) * 100))
+        << "packet " << s;
+  }
 }
 
 TEST(PsPinDevice, CleanupReapsAbandonedMessage) {

@@ -69,6 +69,40 @@ TEST(RdmaNic, RkeyBoundsChecked) {
   EXPECT_TRUE(rig.b.rkey_valid(0, 0xDEAD0000, 64));  // internal bypass key
 }
 
+// A region at [1 MiB, 1 MiB + 4 KiB) and a 16-byte access at 2^64 - 8:
+// its end wraps past 2^64 to 8, which an `addr + len <= base + len` check
+// let through, and the bytes moved were target bytes 0-7, outside it.
+constexpr std::uint64_t kWrappingAddr = ~std::uint64_t{0} - 7;
+
+TEST(RdmaNic, WriteThatWrapsTheAddressSpaceIsNacked) {
+  Rig rig;
+  const auto rkey = rig.b.register_mr(1 * MiB, 4 * KiB);
+  bool nacked = false;
+  bool acked = false;
+  rig.a.set_control_handler(
+      [&](const net::Packet& pkt, TimePs) { nacked = pkt.opcode == net::Opcode::kNack; });
+  rig.a.post_write(rig.b.id(), kWrappingAddr, rkey, Bytes(16, 0xAB), [&](TimePs) { acked = true; });
+  rig.sim.run();
+  EXPECT_TRUE(nacked);
+  EXPECT_FALSE(acked);
+  EXPECT_EQ(rig.mem_b.bytes_written(), 0u);
+  EXPECT_EQ(rig.mem_b.read(0, 8), Bytes(8, 0));
+}
+
+TEST(RdmaNic, ReadThatWrapsTheAddressSpaceIsNacked) {
+  Rig rig;
+  rig.mem_b.write(0, Bytes(8, 0xCD));
+  const auto rkey = rig.b.register_mr(1 * MiB, 4 * KiB);
+  bool nacked = false;
+  bool completed = false;
+  rig.a.set_control_handler(
+      [&](const net::Packet& pkt, TimePs) { nacked = pkt.opcode == net::Opcode::kNack; });
+  rig.a.post_read(rig.b.id(), kWrappingAddr, rkey, 16, [&](Bytes, TimePs) { completed = true; });
+  rig.sim.run();
+  EXPECT_TRUE(nacked);
+  EXPECT_FALSE(completed);
+}
+
 TEST(RdmaNic, ReadReturnsRemoteData) {
   Rig rig;
   Bytes data(10000);

@@ -1,5 +1,6 @@
 // Unit tests of the HandlerCtx record-then-replay contract: cost charging,
-// command cycle offsets, and functional storage reads.
+// command cycle offsets, borrowed and owned DMA sources, and the command
+// buffer a device lends to each run.
 #include <gtest/gtest.h>
 
 #include "common/log.hpp"
@@ -37,7 +38,7 @@ TEST(HandlerCtx, CommandsRecordIssueOffsets) {
   EXPECT_EQ(cmds[1].kind, HandlerCtx::Cmd::Kind::kDma);
   EXPECT_EQ(cmds[1].cycle_offset, 150u);
   EXPECT_EQ(cmds[1].addr, 0x10u);
-  EXPECT_EQ(cmds[1].data, (Bytes{1, 2}));
+  EXPECT_EQ(Bytes(cmds[1].data.begin(), cmds[1].data.end()), (Bytes{1, 2}));
   EXPECT_EQ(cmds[2].kind, HandlerCtx::Cmd::Kind::kFence);
   EXPECT_EQ(cmds[2].cycle_offset, 175u);
   EXPECT_EQ(cmds[3].kind, HandlerCtx::Cmd::Kind::kNotify);
@@ -45,38 +46,39 @@ TEST(HandlerCtx, CommandsRecordIssueOffsets) {
   EXPECT_EQ(cmds[3].arg, 8u);
 }
 
-TEST(HandlerCtx, ReadStorageUsesInstalledReader) {
+TEST(HandlerCtx, DmaBorrowsASpanAndOwnsHandedOverBytes) {
   HandlerCtx ctx(1, 0, 0);
-  ctx.set_storage_reader([](std::uint64_t addr, std::size_t len) {
-    Bytes out(len);
-    for (std::size_t i = 0; i < len; ++i) out[i] = static_cast<std::uint8_t>(addr + i);
-    return out;
-  });
-  const auto got = ctx.read_storage(5, 3);
-  EXPECT_EQ(got, (Bytes{5, 6, 7}));
-  ASSERT_EQ(ctx.commands().size(), 1u);
-  EXPECT_EQ(ctx.commands()[0].kind, HandlerCtx::Cmd::Kind::kDmaRead);
-  EXPECT_EQ(ctx.commands()[0].addr, 5u);
-  EXPECT_EQ(ctx.commands()[0].len, 3u);
+  const Bytes packet_buffer{7, 8, 9};
+  ctx.dma_to_storage(0x20, ByteSpan(packet_buffer).subspan(1));
+  Bytes parity{4, 5};
+  const std::uint8_t* parity_bytes = parity.data();
+  ctx.dma_to_storage(0x30, std::move(parity));
+  for (int i = 0; i < 64; ++i) ctx.storage_fence();  // grow the command buffer
+
+  const auto& cmds = ctx.commands();
+  // The borrowed command points into the caller's buffer: nothing copied.
+  EXPECT_EQ(cmds[0].data.data(), packet_buffer.data() + 1);
+  EXPECT_EQ(cmds[0].data.size(), 2u);
+  EXPECT_TRUE(cmds[0].owned.empty());
+  // The owned bytes moved into the command and stay put as it moves.
+  EXPECT_EQ(cmds[1].data.data(), parity_bytes);
+  EXPECT_EQ(Bytes(cmds[1].data.begin(), cmds[1].data.end()), (Bytes{4, 5}));
 }
 
-TEST(HandlerCtx, ReadStorageWithoutReaderReturnsZeros) {
-  HandlerCtx ctx(1, 0, 0);
-  EXPECT_EQ(ctx.read_storage(0, 4), (Bytes{0, 0, 0, 0}));
-}
+TEST(HandlerCtx, LentCommandBufferComesBackEmptyWithItsCapacity) {
+  std::vector<HandlerCtx::Cmd> buffer;
+  buffer.reserve(8);
+  const HandlerCtx::Cmd* storage = buffer.data();
+  HandlerCtx ctx(1, 0, 0, std::move(buffer));
+  ctx.notify_host(1, 2);
+  ctx.storage_fence();
+  ASSERT_EQ(ctx.commands().size(), 2u);
+  EXPECT_EQ(ctx.commands().data(), storage);  // recorded into the lent buffer
 
-TEST(HandlerCtx, SendFromStorageFillsPayloadFunctionally) {
-  HandlerCtx ctx(1, 0, 0);
-  ctx.set_storage_reader([](std::uint64_t, std::size_t len) { return Bytes(len, 0xEE); });
-  net::Packet p;
-  p.dst = 3;
-  ctx.send_from_storage(std::move(p), 0x100, 5);
-  ASSERT_EQ(ctx.commands().size(), 1u);
-  const auto& cmd = ctx.commands()[0];
-  EXPECT_EQ(cmd.kind, HandlerCtx::Cmd::Kind::kSendFromStorage);
-  EXPECT_EQ(cmd.pkt.data, Bytes(5, 0xEE));
-  EXPECT_EQ(cmd.addr, 0x100u);
-  EXPECT_EQ(cmd.len, 5u);
+  const auto back = ctx.take_commands();
+  EXPECT_TRUE(back.empty());
+  EXPECT_EQ(back.data(), storage);
+  EXPECT_GE(back.capacity(), 8u);
 }
 
 TEST(HandlerCtx, EnvironmentAccessors) {

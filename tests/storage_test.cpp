@@ -149,5 +149,23 @@ TEST(Target, TrimAccountingAndZeroLenTrim) {
   EXPECT_EQ(t.bytes_trimmed(), 4096u);
 }
 
+TEST(Target, BoundsDoNotWrap) {
+  // Regression: each check summed `addr + len`, so a range ending past
+  // 2^64 wrapped below the capacity and reached the bytes at address 0.
+  sim::Simulator sim;
+  Target t(sim);
+  const std::uint64_t addr = ~std::uint64_t{0} - 7;  // 2^64 - 8
+  EXPECT_THROW(t.write(addr, Bytes(16, 0xAB)), std::out_of_range);
+  EXPECT_THROW(t.trim(addr, 16), std::out_of_range);
+  EXPECT_THROW(t.read(addr, 16), std::out_of_range);
+  EXPECT_THROW(t.read_at(addr, 16), std::out_of_range);
+  EXPECT_EQ(t.bytes_written(), 0u);
+  EXPECT_FALSE(t.trimmed(0, 8));
+  EXPECT_EQ(t.read(0, 8), Bytes(8, 0));
+  // The last byte of the capacity stays addressable, the next one does not.
+  EXPECT_NO_THROW(t.write(t.capacity() - 1, Bytes(1, 1)));
+  EXPECT_THROW(t.write(t.capacity(), Bytes(1, 1)), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace nadfs::storage
