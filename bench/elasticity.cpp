@@ -15,11 +15,8 @@
 //       workload; the dip is read off the engine's goodput timeline
 //       (deepest interior bucket vs the best one).
 //
-// NADFS_BENCH_SMOKE=1 shrinks every sweep for CI. After writing the report
-// the bench re-reads it with the strict obs JSON parser — a malformed
-// report fails the run, not the consumer.
-#include <cstdlib>
-
+// After writing the report the bench re-reads it with the strict obs JSON
+// parser — a malformed report fails the run, not the consumer.
 #include "bench/report.hpp"
 #include "common/rng.hpp"
 #include "services/rebalancer.hpp"
@@ -94,7 +91,7 @@ struct RebalancePoint {
   Snapshot metrics;
 };
 
-RebalancePoint run_rebalance(std::uint64_t bytes_per_tick, unsigned objects) {
+RebalancePoint run_rebalance(std::uint64_t bytes_per_tick) {
   services::ClusterConfig cfg;
   cfg.storage_nodes = 4;
   cfg.clients = 2;
@@ -109,7 +106,7 @@ RebalancePoint run_rebalance(std::uint64_t bytes_per_tick, unsigned objects) {
     meta.hold_from_placement(cluster.storage_node(i).id());
   }
   const std::size_t size = 64 * KiB;
-  for (unsigned i = 0; i < objects; ++i) {
+  for (unsigned i = 0; i < 8; ++i) {
     const auto& l = meta.create("r" + std::to_string(i), size, services::FilePolicy{});
     const auto cap = meta.grant(writer.client_id(), l, auth::Right::kWrite);
     writer.write(l, cap, pattern_bytes(size, i), [](dfs::DfsError, TimePs) {});
@@ -163,7 +160,7 @@ struct RollingPoint {
   Snapshot metrics;
 };
 
-RollingPoint run_rolling(bool smoke) {
+RollingPoint run_rolling() {
   services::ClusterConfig cfg;
   cfg.storage_nodes = 4;
   cfg.clients = 4;  // 0-1 workload slots, 2 prober, 3 mover
@@ -182,7 +179,7 @@ RollingPoint run_rolling(bool smoke) {
   std::vector<TimePs> rejoined;
   detector.set_on_rejoin([&](net::NodeId, TimePs at) { rejoined.push_back(at); });
 
-  const std::size_t restarts_n = smoke ? 2 : cluster.storage_node_count();
+  const std::size_t restarts_n = cluster.storage_node_count();
   const TimePs spacing = us(350);
   const TimePs downtime = us(150);
   net::FaultPlan plan;
@@ -264,7 +261,6 @@ RollingPoint run_rolling(bool smoke) {
 }  // namespace
 
 int main() {
-  const bool smoke = std::getenv("NADFS_BENCH_SMOKE") != nullptr;
   print_header("Cluster elasticity: rejoin latency, rebalance convergence, rolling restart",
                "detector confirmation probes + budgeted background migration");
 
@@ -274,8 +270,7 @@ int main() {
   std::size_t total_points = 0;
 
   // Time-to-rejoin vs downtime.
-  const std::vector<TimePs> downtimes =
-      smoke ? std::vector<TimePs>{us(150)} : std::vector<TimePs>{us(150), us(300), us(600)};
+  const std::vector<TimePs> downtimes = {us(150), us(300), us(600)};
   {
     std::vector<std::function<RejoinPoint()>> points;
     for (const TimePs d : downtimes) points.push_back([d] { return run_rejoin(d); });
@@ -294,14 +289,11 @@ int main() {
   }
 
   // Rebalance convergence vs per-tick byte budget.
-  const unsigned objects = smoke ? 4 : 8;
-  const std::vector<std::uint64_t> budgets =
-      smoke ? std::vector<std::uint64_t>{128 * KiB}
-            : std::vector<std::uint64_t>{64 * KiB, 128 * KiB, 256 * KiB};
+  const std::vector<std::uint64_t> budgets = {64 * KiB, 128 * KiB, 256 * KiB};
   {
     std::vector<std::function<RebalancePoint()>> points;
     for (const auto b : budgets) {
-      points.push_back([b, objects] { return run_rebalance(b, objects); });
+      points.push_back([b] { return run_rebalance(b); });
     }
     const auto pts = runner.run(points);
     total_points += pts.size();
@@ -329,7 +321,7 @@ int main() {
 
   // Rolling restart under load.
   {
-    const RollingPoint p = run_rolling(smoke);
+    const RollingPoint p = run_rolling();
     ++total_points;
     std::printf("\n%-12s %12s %10s %14s %8s %8s\n", "rolling", "goodput Gb/s", "dip %",
                 "avg rejoin us", "ok", "failed");
@@ -351,8 +343,8 @@ int main() {
   }
 
   report.finish(runner.threads(), total_points);
-  if (!validate_report("BENCH_elasticity.json", {{"elasticity_rejoin,", 1},
-                                                      {"elasticity_rebalance,", 1},
+  if (!validate_report("BENCH_elasticity.json", {{"elasticity_rejoin,", 3},
+                                                      {"elasticity_rebalance,", 3},
                                                       {"elasticity_rolling,", 1}})) return 1;
   return 0;
 }

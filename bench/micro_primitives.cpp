@@ -56,9 +56,9 @@ void BM_GfMulTable(benchmark::State& state) {
 }
 BENCHMARK(BM_GfMulTable);
 
-// Word kernel (runtime-selected: ssse3/word64) vs the 256x256-table scalar
-// path the handler cost model charges. The 2048 span is the per-packet EC
-// accumulate; acceptance floor is >= 4x at that size.
+// Region kernel (runtime-selected: ssse3/avx2/gfni) vs the 256x256-table
+// scalar path the handler cost model charges. The 2048 span is the
+// per-packet EC accumulate; acceptance floor is >= 4x at that size.
 void BM_GfMulAddVector(benchmark::State& state) {
   const auto& gf = ec::Gf256::instance();
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -409,9 +409,8 @@ void run_gf256_sweep() {
   std::printf("%-22s %-8s %10s | %10s\n", "op", "tier", "bytes", "GB/s");
   std::size_t points = 0;
 
-  const ec::Gf256::Kernel all[] = {ec::Gf256::Kernel::kScalar, ec::Gf256::Kernel::kWord64,
-                                   ec::Gf256::Kernel::kSsse3, ec::Gf256::Kernel::kAvx2,
-                                   ec::Gf256::Kernel::kGfni};
+  const ec::Gf256::Kernel all[] = {ec::Gf256::Kernel::kScalar, ec::Gf256::Kernel::kSsse3,
+                                   ec::Gf256::Kernel::kAvx2, ec::Gf256::Kernel::kGfni};
   for (const auto tier : all) {
     if (!ec::Gf256::kernel_supported(tier)) {
       std::printf("%-22s %-8s %10s | %10s\n", "mul_add", ec::Gf256::kernel_name(tier), "-",

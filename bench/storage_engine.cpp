@@ -20,11 +20,8 @@
 // bytes and stall counts/time are nonzero at the saturated point and grow
 // strictly past the knee.
 //
-// NADFS_BENCH_SMOKE=1 shrinks the sweep (3 points, short horizon). After
-// writing BENCH_storage_engine.json the bench re-reads and validates it
-// with the strict obs JSON parser.
-#include <cstdlib>
-
+// After writing BENCH_storage_engine.json the bench re-reads and validates
+// it with the strict obs JSON parser.
 #include "bench/report.hpp"
 #include "services/host_dfs.hpp"
 #include "storage/engine/engine.hpp"
@@ -90,7 +87,7 @@ long long sum_suffix(const Snapshot& snap, const std::string& suffix) {
   return total;
 }
 
-Point run_point(const Variant& v, double offered_gbps, bool smoke) {
+Point run_point(const Variant& v, double offered_gbps) {
   services::ClusterConfig cfg;
   cfg.storage_nodes = 5;
   cfg.clients = 4;
@@ -123,7 +120,7 @@ Point run_point(const Variant& v, double offered_gbps, bool smoke) {
   ecfg.users = 1'000'000;
   ecfg.client_slots = cfg.clients;
   ecfg.rate_ops_per_s = offered_gbps * 1e9 / (8.0 * static_cast<double>(tenant.io_bytes));
-  ecfg.duration = smoke ? us(200) : ms(1);
+  ecfg.duration = ms(1);
   ecfg.diurnal_amplitude = 0.0;
   ecfg.seed = 42;
 
@@ -168,12 +165,10 @@ std::size_t knee_index(const std::vector<Point>& pts) {
 }  // namespace
 
 int main() {
-  const bool smoke = std::getenv("NADFS_BENCH_SMOKE") != nullptr;
   print_header("Goodput vs offered load per storage backend",
                "§III storage assumption relaxed: line-rate | NVMM | Bε-tree");
 
-  const std::vector<double> offered = smoke ? std::vector<double>{4, 16, 64}
-                                            : std::vector<double>{2, 4, 8, 16, 32, 64, 128};
+  const std::vector<double> offered = {2, 4, 8, 16, 32, 64, 128};
 
   SweepReport report("storage_engine");
   SweepRunner runner;
@@ -185,7 +180,7 @@ int main() {
     std::vector<std::function<Point()>> points;
     points.reserve(offered.size());
     for (const double gbps : offered) {
-      points.push_back([&v, gbps, smoke] { return run_point(v, gbps, smoke); });
+      points.push_back([&v, gbps] { return run_point(v, gbps); });
     }
     const auto pts = runner.run(points);
     total_points += pts.size();

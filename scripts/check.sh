@@ -22,132 +22,52 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Event-core suites (calendar queue vs retained PR 1 heap oracle, EventFn
-# lifetime coverage, egress-slot and GapServer reservation calendars vs
-# their retained predecessors) get an explicit focused rerun so a discovery
-# hiccup can never silently skip them — these are the gate for event-order
-# and reservation-timing regressions.
-ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SimQueueDifferential|CalendarQueue|EventFn|Determinism|EgressSlots|GapServer'
-
-# Event-core and reservation-calendar differential suites under two chaos
-# seeds: the randomized lockstep runs fold NADFS_CHAOS_SEED into their
-# seeds, so each seed replays different operation sequences. Under
-# CHECK_SANITIZE=1 this puts the calendar queue's payload-slot reuse and
-# every vector insert, erase and compaction of the calendars under ASan
-# (a use of a vacated slot or an invalidated iterator fails loudly).
+# Seeded suites, once per chaos seed (1 and 7). Randomized and seeded
+# scenarios fold NADFS_CHAOS_SEED into their seeds, so each seed replays
+# different operation sequences, and every scenario must hold (and
+# self-digest identically across its internal double runs) for any seed.
+# One -R union: the event core and reservation calendars against their
+# retained oracles, the pinned star digests (Determinism.*), faults, chaos
+# and fabric partitions, the wire and packet-train suites, the sPIN data
+# path, the DFS op surface and model check, elasticity (DESIGN.md §3g) and
+# the storage engines (DESIGN.md §3h). Under CHECK_SANITIZE=1 all of it
+# runs under ASan/UBSan, where a vacated calendar slot, an out-of-range
+# seq stored by index or a borrowed DMA source that dies before its replay
+# fails loudly.
+SEEDED='SimQueueDifferential|CalendarQueue|EventFn|EgressSlots|GapServer|Determinism'
+SEEDED+='|Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|FabricNet|Topology'
+SEEDED+='|DuplicatePackets|ExtentBounds|MalformedWrite|MalformedRpc|Wire|BuildWritePackets'
+SEEDED+='|Reassembly|ForgedPacketCount|ReadPath'
+SEEDED+='|AllocBudget|HandlerCtx|PsPinDevice|DfsHandlers|RdmaNic'
+SEEDED+='|DfsOps|DfsModel|WorkloadEngine|Zipf'
+SEEDED+='|Elasticity|Rejoin|Drain'
+SEEDED+='|StorageEngine|BetaTree|EngineEquivalence|Target'
 for seed in 1 7; do
-  echo "== event-core + calendar differential suites under NADFS_CHAOS_SEED=$seed"
-  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'SimQueueDifferential|CalendarQueue|EventFn|EgressSlotsDifferential|GapServerDifferential'
+  count="$(ctest --test-dir "$BUILD_DIR" -N -R "$SEEDED" | sed -n 's/^Total Tests: //p')"
+  echo "== seeded suites under NADFS_CHAOS_SEED=$seed: $count tests"
+  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
+    -R "$SEEDED"
 done
 
-# GF(2^8) kernel-tier matrix: rerun the EC suites under every tier the host
-# actually supports. gf_kernel_probe reports which tier a forced value
-# resolves to; a mismatch means the tier is unsupported here (or failed its
-# startup self-check and fell down the ladder), so it is skipped with a
-# notice rather than tested as a false positive.
-PROBE="$BUILD_DIR/src/ec/gf_kernel_probe"
-for tier in scalar word64 ssse3 avx2 gfni; do
-  actual="$(NADFS_GF_KERNEL=$tier "$PROBE")"
-  if [ "$actual" != "$tier" ]; then
-    echo "NOTICE: GF kernel tier '$tier' unsupported on this host (resolves to '$actual'); skipping"
-    continue
-  fi
-  echo "== EC test suites under NADFS_GF_KERNEL=$tier"
-  NADFS_GF_KERNEL=$tier ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Gf256|ReedSolomon|EcKernel|EcRoundTrip|EcDigestPin'
-done
+# Storage-engine sweep: line-rate vs NVMM vs Bε-tree goodput; the bench
+# re-reads BENCH_storage_engine.json through the strict obs JSON parser and
+# exits nonzero unless the betree knee is non-degenerate and attributable
+# to compaction backlog (compact bytes + stall time grow past the knee).
+echo "== storage-engine sweep (BENCH_storage_engine.json validation)"
+(cd "$BUILD_DIR" && "./bench/storage_engine" > /dev/null)
 
-# Fault/chaos suites under two distinct chaos seeds: the seeded scenarios
-# must hold (and self-digest identically across their internal double runs)
-# for *any* seed, not just the default. The regular ctest pass above already
-# ran them under seed 1; under CHECK_SANITIZE=1 this also puts the whole
-# fault path (deadline events, AckTracker::take, Nic::cancel_read, recovery
-# fallback) under ASan/UBSan. Failures print the fault counters. The
-# wire regressions ride along: DuplicatePackets (duplicated, out-of-range
-# and recounted packets at every reassembly point; under the sanitizer an
-# out-of-range seq stored by index fails loudly), ExtentBounds (writes stay
-# inside the capability's extent), MalformedWrite/MalformedRpc/Wire
-# (headers that do not parse are refused, never acked; under the sanitizer
-# a parity coordinate read past its list fails loudly), and the packet-train
-# suites: BuildWritePackets (every cutter input), Reassembly,
-# ForgedPacketCount and ReadPath (exact bytes on every read-response train).
-# The sPIN data-path suites ride along too: AllocBudget (heap allocations
-# per packet), HandlerCtx, PsPinDevice, DfsHandlers and RdmaNic. A payload
-# handler's storage DMA borrows the packet until its replay, so under the
-# sanitizer a borrowed source that dies first fails loudly.
-for seed in 1 7; do
-  echo "== chaos/fault + wire suites under NADFS_CHAOS_SEED=$seed"
-  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|DuplicatePackets|ExtentBounds|MalformedWrite|MalformedRpc|Wire|BuildWritePackets|Reassembly|ForgedPacketCount|ReadPath|AllocBudget|HandlerCtx|PsPinDevice|DfsHandlers|RdmaNic'
-done
-
-# Fabric partition chaos under both seeds (also covered by the loop above;
-# this focused rerun exists so a discovery hiccup can never silently skip
-# the split-brain gate), plus the single-switch digest pins: the Topology
-# refactor must keep star runs bit-identical to the PR 5 recordings —
-# Determinism.* carries the pinned digests and fails on any drift.
-for seed in 1 7; do
-  echo "== partition scenario + star digest pins under NADFS_CHAOS_SEED=$seed"
-  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Partition|FabricNet|Topology|Determinism'
-done
-
-# Op-surface compliance + model-checked suites under both chaos seeds: the
-# typed-error contract (create/delete/stat/append/list + extent primitives)
-# and the randomized oracle runs are the gate for the DFS op surface; the
-# chaos loop above already covers the kill-mid-append and delete-during-
-# rebuild scenarios under both seeds. The focused rerun here means a
-# discovery hiccup can never silently skip the compliance suites.
-for seed in 1 7; do
-  echo "== op-surface compliance + model suites under NADFS_CHAOS_SEED=$seed"
-  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'DfsOps|DfsModel|WorkloadEngine|Zipf'
-done
-
-# Elasticity gates (DESIGN.md §3g): restart/rejoin, planned drain, and the
-# background rebalancer run under both chaos seeds — every seeded scenario
-# double-runs internally and must self-digest identically. This is the
-# gate for the node lifecycle loop (alive -> failed -> restart -> alive).
-for seed in 1 7; do
-  echo "== elasticity suites under NADFS_CHAOS_SEED=$seed"
-  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Elasticity|Rejoin|Drain'
-done
-
-# Storage-engine gates (DESIGN.md §3h): the backend factory + per-node
-# selection, the Bε-tree flush/compaction/stall behaviour and compaction
-# output retention, the cluster digest and the equivalence suites
-# (LineRate op-for-op vs the pre-engine model, Bε-tree vs flat oracle after
-# every op, timing digests) — the digests pinned for both chaos seeds.
-for seed in 1 7; do
-  echo "== storage-engine suites under NADFS_CHAOS_SEED=$seed"
-  NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'StorageEngine|BetaTree|EngineEquivalence|Target'
-done
-
-# Storage-engine bench smoke: line-rate vs NVMM vs Bε-tree goodput sweep;
-# the bench re-reads BENCH_storage_engine.json through the strict obs JSON
-# parser and exits nonzero unless the betree knee is non-degenerate and
-# attributable to compaction backlog (compact bytes + stall time grow past
-# the knee).
-echo "== storage-engine bench smoke (BENCH_storage_engine.json validation)"
-(cd "$BUILD_DIR" && NADFS_BENCH_SMOKE=1 "./bench/storage_engine" > /dev/null)
-
-# Elasticity bench smoke: time-to-rejoin, rebalance convergence and the
+# Elasticity sweep: time-to-rejoin, rebalance convergence and the
 # rolling-restart goodput dip; the bench re-reads BENCH_elasticity.json
 # through the strict obs JSON parser and fails on missing row families.
-echo "== elasticity bench smoke (BENCH_elasticity.json validation)"
-(cd "$BUILD_DIR" && NADFS_BENCH_SMOKE=1 "./bench/elasticity" > /dev/null)
+echo "== elasticity sweep (BENCH_elasticity.json validation)"
+(cd "$BUILD_DIR" && "./bench/elasticity" > /dev/null)
 
-# Workload-engine smoke: the goodput-vs-offered-load bench in smoke mode
-# (2 variants, 3 sweep points). The bench re-reads BENCH_workloads.json
-# through the strict obs JSON parser and exits nonzero when the report is
-# malformed or missing its knee rows — the report format is a tested
-# artifact, not a best-effort dump.
-echo "== workload bench smoke (BENCH_workloads.json validation)"
-(cd "$BUILD_DIR" && NADFS_BENCH_SMOKE=1 "./bench/workloads" > /dev/null)
+# Workload-engine sweep: goodput vs offered load for all four variants. The
+# bench re-reads BENCH_workloads.json through the strict obs JSON parser and
+# exits nonzero when the report is malformed or misses a variant's knee
+# row — the report format is a tested artifact, not a best-effort dump.
+echo "== workload sweep (BENCH_workloads.json validation)"
+(cd "$BUILD_DIR" && "./bench/workloads" > /dev/null)
 
 # Paper-figure, ablation and extension sweeps, plus the fault-recovery and
 # fabric sweeps (~2 s together): the entries of the `figures` binary. It
@@ -248,14 +168,3 @@ if [ "$SANITIZE" = "OFF" ]; then
     echo "perfbench $workload OK: digest sum $want"
   done
 fi
-
-# The obs compile-out gate must stay buildable: with NADFS_OBS=OFF the
-# span/sampler hooks compile to nothing and the obs suites must still pass
-# (digest-neutrality holds trivially). Configure-only tree, obs suites run.
-echo "== NADFS_OBS=OFF build + obs/trace/determinism suites"
-cmake -B build-noobs -S . \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DNADFS_WERROR=ON \
-  -DNADFS_OBS=OFF > /dev/null
-cmake --build build-noobs -j "$(nproc)" --target test_obs test_trace test_determinism
-ctest --test-dir build-noobs --output-on-failure -R 'Obs|SpanTracer|Determinism'

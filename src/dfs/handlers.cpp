@@ -68,26 +68,8 @@ void header_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
   // operation and extent (threat model of §IV: untrusted clients).
   bool ok = true;
   if (st.cfg.validate_requests) {
-    const auto right = op_is_mutation(req.dfs.op) ? auth::Right::kWrite : auth::Right::kRead;
-    std::uint64_t addr = 0;
-    std::uint64_t len = 0;
-    switch (req.dfs.op) {
-      case OpType::kWrite:
-      case OpType::kAppend:
-        addr = req.wrh.dest_addr;
-        len = req.wrh.total_len;
-        break;
-      case OpType::kRead:
-        addr = req.rrh.src_addr;
-        len = req.rrh.len;
-        break;
-      case OpType::kTrim:
-      case OpType::kStat:
-        addr = req.erh.addr;
-        len = req.erh.len;
-        break;
-    }
-    ok = st.authority.verify(req.dfs.cap, ctx.now_ps(), right, addr, len);
+    const Access access = req.access();
+    ok = st.authority.verify(req.dfs.cap, ctx.now_ps(), access.right, access.addr, access.len);
     if (!ok) ++st.auth_failures;
   }
 
@@ -146,11 +128,8 @@ void header_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
       for (const std::uint8_t child :
            broadcast_children(wrh.virtual_rank, static_cast<std::uint8_t>(wrh.replicas.size()),
                               wrh.strategy)) {
-        WriteRequestHeader child_wrh = wrh;
-        child_wrh.virtual_rank = child;
-        child_wrh.dest_addr = wrh.replicas[child].addr;
-        entry.children.push_back(
-            ReqEntry::Child{wrh.replicas[child], serialize_write_headers(req.dfs, child_wrh)});
+        entry.children.push_back(ReqEntry::Child{
+            wrh.replicas[child], serialize_write_headers(req.dfs, wrh.for_replica(child))});
       }
       break;
     }
@@ -164,10 +143,7 @@ void header_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
         // Prepare the per-parity-node first-packet headers once; PHs splice
         // them in front of the intermediate parity payloads.
         for (std::size_t i = 0; i < wrh.parity_nodes.size(); ++i) {
-          WriteRequestHeader pw = wrh;
-          pw.role = EcRole::kParity;
-          pw.dest_addr = wrh.parity_nodes[i].addr;
-          entry.parity_first_headers.push_back(serialize_write_headers(req.dfs, pw));
+          entry.parity_first_headers.push_back(serialize_write_headers(req.dfs, wrh.for_parity(i)));
         }
       }
       break;

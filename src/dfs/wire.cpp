@@ -187,6 +187,20 @@ ExtentRequestHeader ExtentRequestHeader::deserialize(ByteReader& r) {
   return h;
 }
 
+WriteRequestHeader WriteRequestHeader::for_replica(std::uint8_t rank) const {
+  WriteRequestHeader out = *this;
+  out.virtual_rank = rank;
+  out.dest_addr = replicas[rank].addr;
+  return out;
+}
+
+WriteRequestHeader WriteRequestHeader::for_parity(std::size_t i) const {
+  WriteRequestHeader out = *this;
+  out.role = EcRole::kParity;
+  out.dest_addr = parity_nodes[i].addr;
+  return out;
+}
+
 Bytes serialize_write_headers(const DfsHeader& dfs, const WriteRequestHeader& wrh) {
   Bytes out;
   ByteWriter w(out, DfsHeader::kWireBytes + wrh.wire_bytes());
@@ -217,6 +231,21 @@ ParsedRequest parse_request(ByteSpan first_packet_payload) {
   }
   out.header_bytes = r.position();
   return out;
+}
+
+Access ParsedRequest::access() const {
+  const auth::Right right = op_is_mutation(dfs.op) ? auth::Right::kWrite : auth::Right::kRead;
+  switch (dfs.op) {
+    case OpType::kWrite:
+    case OpType::kAppend:
+      return {right, wrh.dest_addr, wrh.total_len};
+    case OpType::kRead:
+      return {right, rrh.src_addr, rrh.len};
+    case OpType::kTrim:
+    case OpType::kStat:
+      return {right, erh.addr, erh.len};
+  }
+  return {right, 0, 0};
 }
 
 }  // namespace nadfs::dfs

@@ -104,6 +104,12 @@ struct WriteRequestHeader {
   std::size_t wire_bytes() const;
   void serialize(ByteWriter& w) const;
   static WriteRequestHeader deserialize(ByteReader& r);
+
+  /// This write as a replica forwards it to its child `rank`: the child's
+  /// virtual rank and storage address.
+  WriteRequestHeader for_replica(std::uint8_t rank) const;
+  /// The intermediate-parity stream a data node sends to parity node `i`.
+  WriteRequestHeader for_parity(std::size_t i) const;
 };
 
 /// Read request header.
@@ -128,6 +134,14 @@ struct ExtentRequestHeader {
   static ExtentRequestHeader deserialize(ByteReader& r);
 };
 
+/// The capability right a request needs and the extent [addr, addr + len)
+/// it must cover.
+struct Access {
+  auth::Right right = auth::Right::kRead;
+  std::uint64_t addr = 0;
+  std::uint64_t len = 0;
+};
+
 /// Parsed first packet of a request.
 struct ParsedRequest {
   DfsHeader dfs;
@@ -135,6 +149,11 @@ struct ParsedRequest {
   ReadRequestHeader rrh;   // valid when dfs.op == kRead
   ExtentRequestHeader erh;  // valid when dfs.op == kTrim / kStat
   std::size_t header_bytes = 0;  ///< offset of the data in the first packet
+
+  /// What the capability must grant, the one rule of both data planes (sPIN
+  /// HH and host DFS service): mutations need the write right over their
+  /// extent, reads and stats the read right.
+  Access access() const;
 };
 
 ParsedRequest parse_request(ByteSpan first_packet_payload);

@@ -1,47 +1,9 @@
 #include "ec/gf256.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace nadfs::ec {
-
-namespace kernels {
-
-// Portable word64 kernels live here (no special flags needed); the SIMD
-// tiers are in gf256_kernels_{ssse3,avx2,gfni}.cpp, each compiled with its
-// own -m flags (src/ec/CMakeLists.txt).
-
-void mul_add_word64(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
-                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w, d;
-    std::memcpy(&w, src + i, 8);
-    std::memcpy(&d, dst + i, 8);
-    d ^= word64_product(c.lo, c.hi, w);
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::uint8_t>(dst[i] ^ c.lo[src[i] & 0xF] ^ c.hi[src[i] >> 4]);
-  }
-}
-
-void mul_into_word64(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
-                     std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, src + i, 8);
-    const std::uint64_t p = word64_product(c.lo, c.hi, w);
-    std::memcpy(dst + i, &p, 8);
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::uint8_t>(c.lo[src[i] & 0xF] ^ c.hi[src[i] >> 4]);
-  }
-}
-
-}  // namespace kernels
 
 namespace {
 
@@ -59,7 +21,6 @@ constexpr unsigned kPoly = 0x11D;  // x^8 + x^4 + x^3 + x^2 + 1
 bool Gf256::kernel_supported(Kernel k) {
   switch (k) {
     case Kernel::kScalar:
-    case Kernel::kWord64:
       return true;
     case Kernel::kSsse3:
 #ifdef NADFS_GF_BUILD_SSSE3
@@ -83,16 +44,6 @@ bool Gf256::kernel_supported(Kernel k) {
   return false;
 }
 
-std::optional<Gf256::Kernel> Gf256::parse_kernel_name(const char* name) {
-  if (name == nullptr) return std::nullopt;
-  if (std::strcmp(name, "scalar") == 0) return Kernel::kScalar;
-  if (std::strcmp(name, "word64") == 0) return Kernel::kWord64;
-  if (std::strcmp(name, "ssse3") == 0) return Kernel::kSsse3;
-  if (std::strcmp(name, "avx2") == 0) return Kernel::kAvx2;
-  if (std::strcmp(name, "gfni") == 0) return Kernel::kGfni;
-  return std::nullopt;
-}
-
 const char* Gf256::kernel_name(Kernel k) {
   switch (k) {
     case Kernel::kGfni:
@@ -101,22 +52,10 @@ const char* Gf256::kernel_name(Kernel k) {
       return "avx2";
     case Kernel::kSsse3:
       return "ssse3";
-    case Kernel::kWord64:
-      return "word64";
     case Kernel::kScalar:
       return "scalar";
   }
   return "scalar";
-}
-
-Gf256::Gf256() {
-  build_tables();
-  std::optional<Kernel> forced = parse_kernel_name(std::getenv("NADFS_GF_KERNEL"));
-  if (const char* env = std::getenv("NADFS_GF_KERNEL");
-      env != nullptr && !forced.has_value()) {
-    std::fprintf(stderr, "gf256: unknown NADFS_GF_KERNEL '%s', auto-selecting\n", env);
-  }
-  select_kernel(forced);
 }
 
 Gf256::Gf256(Kernel forced) {
@@ -175,19 +114,14 @@ void Gf256::build_tables() {
   }
 }
 
-void Gf256::select_kernel(std::optional<Kernel> forced) {
-  // Candidate ladder, best tier first; a forced tier that is unsupported
-  // (or fails its self-check) falls through to the next supported one, so
-  // the instance is always usable and kernel() reports what actually runs.
-  const Kernel ladder[] = {Kernel::kGfni, Kernel::kAvx2, Kernel::kSsse3, Kernel::kWord64,
-                           Kernel::kScalar};
-  bool reached_forced_start = !forced.has_value();
+void Gf256::select_kernel(Kernel forced) {
+  // Candidate ladder, best tier first, from the forced tier down; a tier
+  // that is unsupported (or fails its self-check) falls through to the next
+  // supported one, so the instance is always usable and kernel() reports
+  // what actually runs.
+  const Kernel ladder[] = {Kernel::kGfni, Kernel::kAvx2, Kernel::kSsse3, Kernel::kScalar};
   for (const Kernel k : ladder) {
-    if (!reached_forced_start) {
-      if (k != *forced) continue;
-      reached_forced_start = true;
-    }
-    if (!kernel_supported(k)) continue;
+    if (k > forced || !kernel_supported(k)) continue;
     kernel_ = k;
     switch (k) {
 #ifdef NADFS_GF_BUILD_GFNI
@@ -208,10 +142,6 @@ void Gf256::select_kernel(std::optional<Kernel> forced) {
         mul_into_fn_ = kernels::mul_into_ssse3;
         break;
 #endif
-      case Kernel::kWord64:
-        mul_add_fn_ = kernels::mul_add_word64;
-        mul_into_fn_ = kernels::mul_into_word64;
-        break;
       default:
         kernel_ = Kernel::kScalar;
         mul_add_fn_ = nullptr;
@@ -230,8 +160,8 @@ void Gf256::select_kernel(std::optional<Kernel> forced) {
 }
 
 bool Gf256::kernel_matches_scalar() const {
-  // Probe lengths straddle the 64/32/16-byte vector widths and the 8-byte
-  // word width, including ragged tails; coefficients cover the identity,
+  // Probe lengths straddle the 64/32/16-byte vector widths, including
+  // ragged tails shorter than one vector; coefficients cover the identity,
   // the generator, the reduction constant, and a spread of arbitrary
   // values. The fused multi ops are probed with m=3 over the same data.
   constexpr std::size_t kMax = 200;
@@ -281,7 +211,8 @@ bool Gf256::kernel_matches_scalar() const {
 }
 
 const Gf256& Gf256::instance() {
-  static const Gf256 gf;
+  // The top of the ladder: the best tier this host supports.
+  static const Gf256 gf(Kernel::kGfni);
   return gf;
 }
 

@@ -10,15 +10,14 @@
 // have to execute it: region operations dispatch at runtime to a tiered
 // kernel ladder
 //
-//   scalar -> word64 -> SSSE3 (pshufb) -> AVX2 (vpshufb) -> AVX-512/GFNI
+//   scalar -> SSSE3 (pshufb) -> AVX2 (vpshufb) -> AVX-512/GFNI
 //   (gf2p8affineqb)
 //
 // selected once per instance via CPUID (best supported tier wins), each
-// tier self-checked bit-exact against the scalar table path before use and
-// individually forceable with NADFS_GF_KERNEL=scalar|word64|ssse3|avx2|gfni
-// for testing and benching (DESIGN.md §3 kernel-tier table). The scalar
-// path stays available as the cost-model reference and the fallback of
-// last resort.
+// tier self-checked bit-exact against the scalar table path before use
+// (DESIGN.md §3 kernel-tier table). Tests and benches pin a tier with
+// Gf256(Kernel). The scalar path stays available as the cost-model
+// reference and the fallback of last resort.
 //
 // On top of the per-coefficient ops, the fused multi-coefficient API
 // (mul_add_multi / mul_into_multi) makes one region-blocked pass over a
@@ -28,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 
 #include "common/bytes.hpp"
 #include "ec/gf256_kernels.hpp"
@@ -40,19 +38,17 @@ class Gf256 {
   /// Which region-kernel tier `mul_add`/`mul_into` (and the fused multi
   /// ops) dispatch to; ordered worst to best. Picked at table-build time
   /// after a bit-exactness self-check against kScalar.
-  enum class Kernel { kScalar, kWord64, kSsse3, kAvx2, kGfni };
+  enum class Kernel { kScalar, kSsse3, kAvx2, kGfni };
 
   /// Singleton table set (64 KiB mul table + log/exp + split/affine
-  /// tables); immutable after init. Honors NADFS_GF_KERNEL.
+  /// tables) on the best supported tier; immutable after init.
   static const Gf256& instance();
 
   /// True when `k` is both compiled in and supported by this CPU. kScalar
-  /// and kWord64 are always available.
+  /// is always available.
   static bool kernel_supported(Kernel k);
 
-  /// Parse a NADFS_GF_KERNEL value ("scalar", "word64", "ssse3", "avx2",
-  /// "gfni"); nullopt for anything else.
-  static std::optional<Kernel> parse_kernel_name(const char* name);
+  /// "scalar", "ssse3", "avx2" or "gfni".
   static const char* kernel_name(Kernel k);
 
   /// Builds a private table set pinned to the given tier (tests/benches
@@ -112,10 +108,8 @@ class Gf256 {
   static constexpr std::size_t kFuseBlockBytes = 4096;
 
  private:
-  Gf256();  // auto-select: NADFS_GF_KERNEL override, else best supported
-
   void build_tables();
-  void select_kernel(std::optional<Kernel> forced);
+  void select_kernel(Kernel forced);
   bool kernel_matches_scalar() const;
   kernels::CoeffCtx coeff_ctx(std::uint8_t coeff) const {
     return {split_lo_[coeff].data(), split_hi_[coeff].data(), affine_[coeff]};

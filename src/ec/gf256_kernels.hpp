@@ -9,7 +9,7 @@
 // All kernels share one signature. The per-coefficient context carries both
 // representations a tier might want:
 //   - lo/hi: the two 16-entry half-byte split tables (ISA-L scheme), used by
-//     word64/SSSE3/AVX2 (pshufb/vpshufb nibble lookups);
+//     SSSE3/AVX2 (pshufb/vpshufb nibble lookups);
 //   - affine: the 8x8 GF(2) bit-matrix of "multiply by c" packed for
 //     gf2p8affineqb (row i of the matrix in byte 7-i), used by the GFNI tier.
 #pragma once
@@ -29,29 +29,11 @@ struct CoeffCtx {
 using RegionFn = void (*)(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
                           std::size_t n);
 
-// ------------------------------------------------ portable word64 kernels
-//
-// Region multiply via the split tables: each source word is decomposed into
-// nibbles, per-nibble products are composed back into a 64-bit word, and
-// the result is applied with one 64-bit XOR/store. Inline here so the SIMD
-// TUs can reuse them for ragged tails without cross-TU calls.
-
-inline std::uint64_t word64_product(const std::uint8_t* lo, const std::uint8_t* hi,
-                                    std::uint64_t w) {
-  std::uint64_t prod = 0;
-  for (unsigned lane = 0; lane < 64; lane += 8) {
-    const auto b = static_cast<std::uint8_t>(w >> lane);
-    prod |= static_cast<std::uint64_t>(
-                static_cast<std::uint8_t>(lo[b & 0xF] ^ hi[b >> 4]))
-            << lane;
-  }
-  return prod;
+/// c * b through the split tables, one byte: the SSSE3 and AVX2 tiers
+/// finish a region shorter than one vector with it.
+inline std::uint8_t split_mul(const CoeffCtx& c, std::uint8_t b) {
+  return static_cast<std::uint8_t>(c.lo[b & 0xF] ^ c.hi[b >> 4]);
 }
-
-void mul_add_word64(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
-                    std::size_t n);
-void mul_into_word64(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
-                     std::size_t n);
 
 // --------------------------------------------------- per-ISA tier kernels
 //

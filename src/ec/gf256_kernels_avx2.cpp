@@ -33,7 +33,7 @@ void mul_add_avx2(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
     const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(d, p));
   }
-  mul_add_word64(c, dst + i, src + i, n - i);
+  for (; i < n; ++i) dst[i] ^= split_mul(c, src[i]);
 }
 
 void mul_into_avx2(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
@@ -50,7 +50,7 @@ void mul_into_avx2(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src
         _mm256_xor_si256(_mm256_shuffle_epi8(tlo, l), _mm256_shuffle_epi8(thi, h));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), p);
   }
-  mul_into_word64(c, dst + i, src + i, n - i);
+  for (; i < n; ++i) dst[i] = split_mul(c, src[i]);
 }
 
 }  // namespace nadfs::ec::kernels

@@ -22,7 +22,7 @@ void mul_add_ssse3(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src
     const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(d, p));
   }
-  mul_add_word64(c, dst + i, src + i, n - i);
+  for (; i < n; ++i) dst[i] ^= split_mul(c, src[i]);
 }
 
 void mul_into_ssse3(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* src,
@@ -38,7 +38,7 @@ void mul_into_ssse3(const CoeffCtx& c, std::uint8_t* dst, const std::uint8_t* sr
     const __m128i p = _mm_xor_si128(_mm_shuffle_epi8(tlo, l), _mm_shuffle_epi8(thi, h));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), p);
   }
-  mul_into_word64(c, dst + i, src + i, n - i);
+  for (; i < n; ++i) dst[i] = split_mul(c, src[i]);
 }
 
 }  // namespace nadfs::ec::kernels

@@ -89,7 +89,7 @@ sim::Window Network::inject(Packet pkt, TimePs earliest) {
     up = src.uplink->plan(wire, earliest);
     if (!plan_.reachable(pkt.src, up.start)) {
       ++fault_counters_.tx_drops;
-      if (obs::kObsEnabled && tracer_)
+      if (tracer_)
         tracer_->record({pkt.src, obs::kLaneUplink, "net", "tx_drop", corr_of(pkt), pkt.msg_id,
                          pkt.seq, pkt.data.size(), up.start, up.start});
       return sim::Window{up.start, up.start};
@@ -98,7 +98,7 @@ sim::Window Network::inject(Packet pkt, TimePs earliest) {
   } else {
     up = src.uplink->reserve(wire, earliest);
   }
-  if (obs::kObsEnabled && tracer_)
+  if (tracer_)
     tracer_->record({pkt.src, obs::kLaneUplink, "net", opcode_name(pkt.opcode), corr_of(pkt),
                      pkt.msg_id, pkt.seq, pkt.data.size(), up.start, up.end});
   // The packet is fully received at the first switch input at up.end + link
@@ -131,7 +131,7 @@ bool Network::trunk_transmit(SwitchId sw, SwitchId next, sim::GapServer& port, s
   if (faults_armed_ && !plan_.trunk_up(sw, next, sim_.now())) {
     ++fault_counters_.trunk_drops;
     ++hop.trunk_drops;
-    if (obs::kObsEnabled && tracer_)
+    if (tracer_)
       tracer_->record({pkt.dst, obs::kLaneTrunk, "net", "trunk_drop", corr_of(pkt), pkt.msg_id,
                        pkt.seq, pkt.data.size(), sim_.now(), sim_.now()});
     return false;
@@ -140,7 +140,7 @@ bool Network::trunk_transmit(SwitchId sw, SwitchId next, sim::GapServer& port, s
   if (max_port_queue_ != 0 && w.start > sim_.now() + max_port_queue_) {
     ++fault_counters_.buffer_drops;
     ++hop.buffer_drops;
-    if (obs::kObsEnabled && tracer_)
+    if (tracer_)
       tracer_->record({pkt.dst, obs::kLaneTrunk, "net", "buffer_drop", corr_of(pkt), pkt.msg_id,
                        pkt.seq, pkt.data.size(), sim_.now(), sim_.now()});
     return false;
@@ -148,7 +148,7 @@ bool Network::trunk_transmit(SwitchId sw, SwitchId next, sim::GapServer& port, s
   port.commit(w);
   ++hop.forwarded_pkts;
   hop.forwarded_bytes += wire;
-  if (obs::kObsEnabled && tracer_)
+  if (tracer_)
     tracer_->record({pkt.dst, obs::kLaneTrunk, "net", hop_name, corr_of(pkt), pkt.msg_id,
                      pkt.seq, pkt.data.size(), w.start, w.end});
   out = w;
@@ -201,7 +201,7 @@ void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
       if (w.start > sim_.now() + max_port_queue_) {
         ++fault_counters_.buffer_drops;
         ++hop.buffer_drops;
-        if (obs::kObsEnabled && tracer_)
+        if (tracer_)
           tracer_->record({p.dst, obs::kLaneDownlink, "net", "buffer_drop", corr_of(p), p.msg_id,
                            p.seq, p.data.size(), sim_.now(), sim_.now()});
         return;
@@ -213,14 +213,14 @@ void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
     // the RNG draw sequence is a pure function of (plan, traffic).
     if (!plan_.reachable(p.dst, sim_.now())) {
       ++fault_counters_.rx_drops;
-      if (obs::kObsEnabled && tracer_)
+      if (tracer_)
         tracer_->record({p.dst, obs::kLaneDownlink, "net", "rx_drop", corr_of(p), p.msg_id,
                          p.seq, p.data.size(), sim_.now(), sim_.now()});
       return;
     }
     if (plan_.drop_rate() > 0 && fault_rng_.next_double() < plan_.drop_rate()) {
       ++fault_counters_.random_drops;
-      if (obs::kObsEnabled && tracer_)
+      if (tracer_)
         tracer_->record({p.dst, obs::kLaneDownlink, "net", "random_drop", corr_of(p), p.msg_id,
                          p.seq, p.data.size(), sim_.now(), sim_.now()});
       return;
@@ -247,7 +247,7 @@ void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
 void Network::deliver(NodePort* dstp, std::size_t wire, Packet&& pkt) {
   const auto down = dstp->downlink->reserve(wire);
   const TimePs arrival = down.end + config_.link_latency;
-  if (obs::kObsEnabled && tracer_)
+  if (tracer_)
     tracer_->record({pkt.dst, obs::kLaneDownlink, "net", opcode_name(pkt.opcode), corr_of(pkt),
                      pkt.msg_id, pkt.seq, pkt.data.size(), down.start, arrival});
   auto* sink = dstp->sink;

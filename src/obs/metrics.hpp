@@ -9,9 +9,6 @@
 //    views registered at wiring time. Nothing on the simulation hot path
 //    touches the registry, so attaching it cannot perturb event order,
 //    RNG draws, or digests (digest-neutrality).
-//  - With NADFS_OBS_DISABLED defined (cmake -DNADFS_OBS=OFF) the optional
-//    instruments (latency sketches, span/sampler hooks) compile to nothing;
-//    plain counters are the pre-existing domain counters and stay.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +21,6 @@
 #include <vector>
 
 namespace nadfs::obs {
-
-#if defined(NADFS_OBS_DISABLED)
-inline constexpr bool kObsEnabled = false;
-#else
-inline constexpr bool kObsEnabled = true;
-#endif
 
 /// Monotonic counter. Drop-in replacement for a `std::uint64_t` struct
 /// member: increments, compound adds, and implicit reads all behave like
@@ -65,7 +56,7 @@ class Counter {
 /// quantile is recovered with a bounded ~3% relative error. Recording is a few integer ops and
 /// allocates nothing; buckets are plain counts, so sketches merge (and
 /// MetricsAccumulator merges their snapshots across sweep points)
-/// commutatively. Under NADFS_OBS_DISABLED record() compiles to a no-op.
+/// commutatively.
 class QuantileSketch {
  public:
   static constexpr std::size_t kMajor = 48;
@@ -73,10 +64,6 @@ class QuantileSketch {
   static constexpr std::size_t kBuckets = kMajor * kSub;
 
   void record(std::uint64_t dur_ps) {
-    if constexpr (!kObsEnabled) {
-      (void)dur_ps;
-      return;
-    }
     ++count_;
     sum_ps_ += dur_ps;
     if (count_ == 1 || dur_ps < min_ps_) min_ps_ = dur_ps;

@@ -189,7 +189,7 @@ TimePs PsPinDevice::run_handler(spin::HandlerType type, const spin::Handler& han
   stats_.record(type, end - start, ctx.instr());
   last_handler_end_ = std::max(last_handler_end_, end);
   const auto hpu = static_cast<unsigned>(std::distance(cluster_hpus.begin(), it));
-  if (obs::kObsEnabled && span_trace_) {
+  if (span_trace_) {
     span_trace_->record({nic_->node_id(), msg.cluster * 1000 + hpu, "handler",
                          spin::handler_type_name(type),
                          pkt.user_tag != 0 ? pkt.user_tag : pkt.msg_id, pkt.msg_id, pkt.seq,
@@ -230,9 +230,12 @@ void PsPinDevice::on_packet(net::Packet&& pkt) {
 
   if (is_first) {
     msg.hh_end = run_handler(spin::HandlerType::kHeader, ctx_->header_handler, pkt, msg, ready);
-    if (inserted && config_.cleanup_timeout != 0 && !(is_last)) {
-      arm_cleanup(key);
-    }
+  }
+  // Whichever packet opens an incomplete message arms its reaper: one whose
+  // first packet was lost or came late, or one a late packet re-opened,
+  // would otherwise stay in the table for good.
+  if (inserted && config_.cleanup_timeout != 0 && !msg.arrivals.complete()) {
+    arm_cleanup(key);
   }
 
   // sPIN guarantees PHs run after the message's HH completed.
@@ -304,7 +307,7 @@ void PsPinDevice::run_cleanup(const spin::MessageKey& key) {
   ctx_->cleanup_handler(ctx, key);
   const TimePs end = replay(ctx, msg, start);
   cmd_buf_ = ctx.take_commands();
-  if (obs::kObsEnabled && span_trace_) {
+  if (span_trace_) {
     span_trace_->record({nic_->node_id(),
                          msg.cluster * 1000 +
                              static_cast<unsigned>(std::distance(cluster_hpus.begin(), hpu)),

@@ -61,7 +61,7 @@ void Nic::post(std::vector<net::Packet> pkts, TimePs start, const char* span) {
     end = w.end + config_.pcie_latency;
     net_.inject(std::move(p), end);
   }
-  if (obs::kObsEnabled && tracer_ && span)
+  if (tracer_ && span)
     tracer_->record({id_, obs::kLaneNicDma, "dma", span, corr, msg, 0, total, sim_.now(), end});
 }
 
@@ -125,7 +125,7 @@ sim::Window Nic::egress_send(net::Packet pkt, TimePs ready) {
   const std::uint64_t bytes = pkt.data.size();
   const char* name = net::opcode_name(pkt.opcode);
   const auto w = net_.inject(std::move(pkt), ready);
-  if (obs::kObsEnabled && tracer_)
+  if (tracer_)
     tracer_->record({id_, obs::kLaneEgress, "egress", name, corr, msg, seq, bytes, ready, w.end});
   return w;
 }
@@ -134,7 +134,7 @@ TimePs Nic::dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) {
   const std::uint64_t bytes = data.size();
   const auto w = pcie_.reserve(data.size(), ready);
   const TimePs durable = memory_.write(addr, data, w.end + config_.pcie_latency);
-  if (obs::kObsEnabled && tracer_)
+  if (tracer_)
     tracer_->record({id_, obs::kLaneNicDma, "dma", "dma_to_storage", 0, 0, 0, bytes, w.start,
                      durable});
   return durable;
@@ -168,7 +168,7 @@ TimePs Nic::trim_storage(std::uint64_t addr, std::uint64_t len, TimePs ready) {
   // Trim is a metadata-sized command: PCIe latency, no payload DMA burst.
   const auto w = pcie_.reserve(0, ready);
   const TimePs durable = memory_.trim(addr, len, w.end + config_.pcie_latency);
-  if (obs::kObsEnabled && tracer_)
+  if (tracer_)
     tracer_->record({id_, obs::kLaneNicDma, "dma", "trim_storage", 0, 0, 0, len, w.start, durable});
   return durable;
 }
@@ -278,7 +278,7 @@ void Nic::on_packet(net::Packet&& pkt) {
     }
     case net::Opcode::kAck:
     case net::Opcode::kNack:
-      if (obs::kObsEnabled && tracer_)
+      if (tracer_)
         tracer_->record({id_, obs::kLaneAck, "ack",
                          pkt.opcode == net::Opcode::kAck ? "ack" : "nack", pkt.user_tag,
                          pkt.msg_id, pkt.seq, 0, sim_.now(), sim_.now()});

@@ -118,10 +118,6 @@ Client::~Client() { cluster_.metrics().remove_prefix(metrics_prefix_); }
 
 void Client::note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
                      TimePs issued, TimePs at, obs::QuantileSketch* sketch) {
-  if constexpr (!obs::kObsEnabled) {
-    (void)name, (void)failed_name, (void)ok, (void)greq, (void)issued, (void)at, (void)sketch;
-    return;
-  }
   if (auto* tracer = cluster_.tracer()) {
     tracer->record({node_.id(), obs::kLaneClientOp, "op", ok ? name : failed_name, greq, greq, 0,
                     0, issued, at});
@@ -553,14 +549,7 @@ void Client::remove(const std::string& name, const auth::Capability& cap, OpCb c
   // Trim every extent of the layout; the namespace entry is dropped only
   // after all trims acked, so a failure leaves the (possibly degraded) file
   // visible rather than leaking unreachable live extents.
-  std::uint64_t span = layout->size;
-  if (layout->policy.resiliency == dfs::Resiliency::kErasureCoding) {
-    span = layout->chunk_len;
-  } else if (layout->striped()) {
-    const auto sc = layout->policy.stripe_count;
-    const auto ss = layout->policy.stripe_size;
-    span = ((layout->size + sc - 1) / sc + ss - 1) / ss * ss;  // per-stripe extent
-  }
+  const std::uint64_t span = MetadataService::extent_span(*layout);
   std::vector<dfs::Coord> extents = layout->targets;
   extents.insert(extents.end(), layout->parity.begin(), layout->parity.end());
 

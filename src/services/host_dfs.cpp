@@ -42,28 +42,10 @@ void HostDfsService::handle(net::NodeId src, std::uint64_t msg_id, Bytes request
     return;
   }
 
-  // Same policy check the sPIN HH performs, with the same shared key:
-  // mutations need the write right over their extent, probes the read right.
-  const auto right = dfs::op_is_mutation(req.dfs.op) ? auth::Right::kWrite : auth::Right::kRead;
-  std::uint64_t addr = 0;
-  std::uint64_t len = 0;
-  switch (req.dfs.op) {
-    case dfs::OpType::kWrite:
-    case dfs::OpType::kAppend:
-      addr = req.wrh.dest_addr;
-      len = req.wrh.total_len;
-      break;
-    case dfs::OpType::kRead:
-      addr = req.rrh.src_addr;
-      len = req.rrh.len;
-      break;
-    case dfs::OpType::kTrim:
-    case dfs::OpType::kStat:
-      addr = req.erh.addr;
-      len = req.erh.len;
-      break;
-  }
-  if (cfg_.validate_requests && !authority_.verify(req.dfs.cap, dispatched, right, addr, len)) {
+  // Same policy check the sPIN HH performs, with the same shared key.
+  const dfs::Access access = req.access();
+  if (cfg_.validate_requests &&
+      !authority_.verify(req.dfs.cap, dispatched, access.right, access.addr, access.len)) {
     ++failures_;
     node_.nic().post_control(req.dfs.client_node, net::Opcode::kNack, req.dfs.greq_id,
                              dispatched, static_cast<std::uint64_t>(dfs::DfsError::kDenied));
@@ -116,11 +98,8 @@ void HostDfsService::handle_write(const dfs::ParsedRequest& req, ByteSpan payloa
       for (const auto child : dfs::broadcast_children(
                wrh.virtual_rank, static_cast<std::uint8_t>(wrh.replicas.size()),
                wrh.strategy)) {
-        dfs::WriteRequestHeader cw = wrh;
-        cw.virtual_rank = child;
-        cw.dest_addr = wrh.replicas[child].addr;
         auto pkts = dfs::build_request_packets(node_.id(), wrh.replicas[child].node, cfg_.mtu,
-                                               req.dfs, cw, payload);
+                                               req.dfs, wrh.for_replica(child), payload);
         cpu.run(cpu.config().rpc_dispatch, copied, [this, pkts = std::move(pkts)]() mutable {
           node_.nic().post_message(std::move(pkts));
         });
@@ -135,11 +114,8 @@ void HostDfsService::handle_write(const dfs::ParsedRequest& req, ByteSpan payloa
       const TimePs encoded = cpu.copy(payload.size() * wrh.ec_m, copied);
       const auto inter = rs.encode_intermediate(wrh.data_idx, payload);
       for (unsigned p = 0; p < wrh.ec_m; ++p) {
-        dfs::WriteRequestHeader pw = wrh;
-        pw.role = dfs::EcRole::kParity;
-        pw.dest_addr = wrh.parity_nodes[p].addr;
         auto pkts = dfs::build_request_packets(node_.id(), wrh.parity_nodes[p].node, cfg_.mtu,
-                                               req.dfs, pw, inter[p]);
+                                               req.dfs, wrh.for_parity(p), inter[p]);
         cpu.run(cpu.config().rpc_dispatch, encoded, [this, pkts = std::move(pkts)]() mutable {
           node_.nic().post_message(std::move(pkts));
         });

@@ -1,19 +1,15 @@
 // GF(2^8) kernel-tier coverage (PR 3):
 //
-//  - every compiled+supported tier (word64/ssse3/avx2/gfni), constructed as
-//    a private Gf256 instance, is bit-exact against the scalar table path
-//    on odd/unaligned region lengths, including the fused multi ops;
+//  - every compiled+supported tier (ssse3/avx2/gfni), constructed as a
+//    private Gf256 instance, is bit-exact against the scalar table path on
+//    odd/unaligned region lengths, including the fused multi ops: every
+//    region op ReedSolomon calls, on every tier this host runs;
 //  - randomized Reed-Solomon encode/decode round-trips across edge shapes
 //    (k=1, m=1, k+m=256) and ragged lengths (1..257 B);
 //  - a pinned FNV-1a digest of encode output, so a kernel-tier change can
 //    never silently alter encoded bytes.
-//
-// scripts/check.sh re-runs this suite (and the rest of the EC tests) under
-// every supported NADFS_GF_KERNEL value, so the singleton-path tests below
-// execute once per tier in CI.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -24,9 +20,8 @@
 namespace nadfs::ec {
 namespace {
 
-constexpr Gf256::Kernel kAllTiers[] = {Gf256::Kernel::kScalar, Gf256::Kernel::kWord64,
-                                       Gf256::Kernel::kSsse3, Gf256::Kernel::kAvx2,
-                                       Gf256::Kernel::kGfni};
+constexpr Gf256::Kernel kAllTiers[] = {Gf256::Kernel::kScalar, Gf256::Kernel::kSsse3,
+                                       Gf256::Kernel::kAvx2, Gf256::Kernel::kGfni};
 
 std::uint64_t fnv1a(std::uint64_t h, ByteSpan bytes) {
   for (const std::uint8_t b : bytes) {
@@ -61,7 +56,7 @@ TEST(EcKernelTiers, SupportedTiersSelectExactly) {
 
 TEST(EcKernelTiers, EveryTierBitExactOnOddUnalignedRegions) {
   // All lengths 1..257 x alignment offsets 0..3, random coefficients —
-  // straddles every vector width (8/16/32/64) with ragged heads and tails.
+  // straddles every vector width (16/32/64) with ragged heads and tails.
   const auto scalar = std::make_unique<Gf256>(Gf256::Kernel::kScalar);
   for (const auto tier : kAllTiers) {
     if (!Gf256::kernel_supported(tier)) continue;
@@ -132,22 +127,6 @@ TEST(EcKernelTiers, FusedMultiMatchesPerCoefficientAllTiers) {
   }
 }
 
-TEST(EcKernelTiers, ForcedEnvTierIsHonoredBySingleton) {
-  // When scripts/check.sh forces a tier via NADFS_GF_KERNEL, the process
-  // singleton must actually run it (the script skips unsupported tiers, so
-  // a mismatch here means forcing silently broke).
-  const char* env = std::getenv("NADFS_GF_KERNEL");
-  if (env == nullptr) {
-    GTEST_SKIP() << "NADFS_GF_KERNEL not set";
-  }
-  const auto forced = Gf256::parse_kernel_name(env);
-  ASSERT_TRUE(forced.has_value()) << env;
-  if (!Gf256::kernel_supported(*forced)) {
-    GTEST_SKIP() << "tier '" << env << "' unsupported on this host/build";
-  }
-  EXPECT_STREQ(Gf256::instance().kernel_name(), env);
-}
-
 struct Shape {
   unsigned k, m;
 };
@@ -156,8 +135,7 @@ TEST(EcRoundTrip, RandomizedAcrossEdgeShapesAndRaggedLengths) {
   // Encode/decode property test on the shapes the satellite calls out:
   // k=1 (parity-only redundancy), m=1 (single parity), and k+m=256 (the
   // field-size limit), plus the paper's RS(3,2)/RS(6,3)/RS(10,4); chunk
-  // lengths are odd/unaligned (1..257 B). Runs under whatever kernel tier
-  // NADFS_GF_KERNEL selected — check.sh sweeps all of them.
+  // lengths are odd/unaligned (1..257 B), on the best supported tier.
   const Shape shapes[] = {{1, 1}, {1, 4}, {5, 1}, {3, 2}, {6, 3}, {10, 4}, {252, 4}, {1, 255}};
   Rng rng(20260807);
   for (const auto [k, m] : shapes) {
@@ -209,9 +187,8 @@ TEST(EcRoundTrip, IntermediateFusedPathMatchesFullEncode) {
 
 TEST(EcDigestPin, EncodeOutputBytesArePinned) {
   // FNV-1a digests of encode output for fixed seeds, recorded from the
-  // scalar reference path. A kernel tier (or encode-loop restructuring)
-  // that alters any output byte fails here — run under every tier by
-  // scripts/check.sh's matrix.
+  // scalar reference path. An encode-loop restructuring that alters any
+  // output byte fails here; EcKernelTiers.* pin every tier to scalar.
   struct Pin {
     unsigned k, m;
     std::size_t len;

@@ -136,10 +136,10 @@ TEST(Gf256, MulAddVector) {
 }
 
 TEST(Gf256, WordKernelMatchesScalarOnRandomLengths) {
-  // The region kernels (mul_add/mul_into) may run word-wide (ssse3/word64)
-  // while the cost model charges the scalar table loop; they must be
-  // bit-exact. Sweep lengths across the 8-byte-word and 16-byte-vector
-  // boundaries, including ragged non-multiple-of-8 tails.
+  // The region kernels (mul_add/mul_into) run on the best supported tier
+  // (ssse3/avx2/gfni) while the cost model charges the scalar table loop;
+  // they must be bit-exact. Sweep lengths across the 16/32/64-byte vector
+  // boundaries, including ragged tails.
   const auto& gf = Gf256::instance();
   Rng rng(42);
   std::vector<std::size_t> lengths = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,

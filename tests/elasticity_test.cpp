@@ -790,13 +790,11 @@ std::uint64_t run_rebalance_convergence(std::uint64_t seed) {
             static_cast<long long>(rebalancer.moves()));
   EXPECT_EQ(snap.at("rebalance.moved_bytes"),
             static_cast<long long>(rebalancer.moved_bytes()));
-  if (obs::kObsEnabled) {
-    std::size_t lane_spans = 0;
-    for (const auto& s : tracer.spans()) {
-      if (s.lane == obs::kLaneRebalance) ++lane_spans;
-    }
-    EXPECT_EQ(lane_spans, rebalancer.moves()) << "seed " << seed;
+  std::size_t lane_spans = 0;
+  for (const auto& s : tracer.spans()) {
+    if (s.lane == obs::kLaneRebalance) ++lane_spans;
   }
+  EXPECT_EQ(lane_spans, rebalancer.moves()) << "seed " << seed;
 
   // No byte lost in the shuffle.
   Digest d;

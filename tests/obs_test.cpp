@@ -73,12 +73,6 @@ TEST(ObsSketch, IndexOfClampsBothEnds) {
 
 TEST(ObsSketch, QuantileWithinOneSubBucketOfExactAndClamped) {
   obs::QuantileSketch s;
-  if constexpr (!obs::kObsEnabled) {
-    // NADFS_OBS=OFF: record() compiles to a no-op by design.
-    s.record(ns(1));
-    EXPECT_EQ(s.count(), 0u);
-    GTEST_SKIP() << "sketches compiled out (NADFS_OBS=OFF)";
-  }
   // Log-uniform durations from 100 ns to ~1 ms, whole nanoseconds.
   Rng rng(5);
   std::vector<std::uint64_t> samples;
@@ -112,11 +106,6 @@ TEST(ObsSketch, QuantileWithinOneSubBucketOfExactAndClamped) {
 
 TEST(ObsSketch, MergeEqualsRecordingTheUnion) {
   obs::QuantileSketch a, b, both;
-  if constexpr (!obs::kObsEnabled) {
-    a.record(ns(1));
-    EXPECT_EQ(a.count(), 0u);
-    GTEST_SKIP() << "sketches compiled out (NADFS_OBS=OFF)";
-  }
   Rng rng(11);
   for (int i = 0; i < 500; ++i) {
     const std::uint64_t v = ns(50) + rng.next_below(us(20));
@@ -157,7 +146,6 @@ TEST(ObsSketch, BenchAccumulatorMergesSnapshotsLikeTheSketch) {
   // buckets summed, min and max merged as such — and so must the derived
   // percentiles.
   obs::QuantileSketch a, b, empty;
-  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "sketches compiled out (NADFS_OBS=OFF)";
   Rng rng(12);
   for (int i = 0; i < 400; ++i) a.record(us(2) + rng.next_below(us(8)));
   for (int i = 0; i < 100; ++i) b.record(us(40) + rng.next_below(us(200)));
@@ -200,14 +188,10 @@ TEST(ObsRegistry, SnapshotAndJsonRoundTrip) {
   EXPECT_EQ(snap.at("node1.dfs.acks"), 3);
   EXPECT_EQ(snap.at("node1.nic.raw"), 7);
   EXPECT_EQ(snap.at("node1.queue_depth"), 42);
-  if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(snap.at("client0.latency.count"), 1);
-    EXPECT_EQ(snap.at("client0.latency.sum_ps"), static_cast<long long>(us(2)));
-    const auto bucket = "client0.latency.s" + std::to_string(obs::QuantileSketch::index_of(us(2)));
-    EXPECT_EQ(snap.at(bucket), 1);
-  } else {
-    EXPECT_EQ(snap.at("client0.latency.count"), 0);  // record() compiled out
-  }
+  EXPECT_EQ(snap.at("client0.latency.count"), 1);
+  EXPECT_EQ(snap.at("client0.latency.sum_ps"), static_cast<long long>(us(2)));
+  const auto bucket = "client0.latency.s" + std::to_string(obs::QuantileSketch::index_of(us(2)));
+  EXPECT_EQ(snap.at(bucket), 1);
 
   // The JSON export parses back to exactly the snapshot.
   std::string err;
@@ -356,9 +340,7 @@ std::uint64_t run_workload_digest(bool traced) {
     // Reading the registry mid-flight is the documented usage; fold a
     // snapshot read in so the test covers it, but never into the digest.
     EXPECT_GT(cluster.metrics().snapshot().size(), 0u);
-    if constexpr (obs::kObsEnabled) {
-      EXPECT_GT(tracer.size(), 0u);
-    }
+    EXPECT_GT(tracer.size(), 0u);
   }
   for (std::size_t n = 0; n < cluster.storage_node_count(); ++n) {
     mix(cluster.storage_node(n).target().bytes_written());
@@ -375,8 +357,7 @@ TEST(ObsNeutrality, TracerAndRegistryDoNotPerturbTheRun) {
   // and zero RNG draws, so the full digest — executed_events included —
   // is identical with the whole stack attached. (The sampler is the
   // documented exception: its Periodic ticks add events; see DESIGN.md
-  // §3c.) With cmake -DNADFS_OBS=OFF the same property holds trivially:
-  // the hooks compile out and this test still passes both ways.
+  // §3c.)
   EXPECT_EQ(run_workload_digest(false), run_workload_digest(true));
 }
 

@@ -325,6 +325,32 @@ TEST(PsPinDevice, CleanupReapsAbandonedMessage) {
   EXPECT_EQ(rig.nic.events.back().first, 99u);
 }
 
+TEST(PsPinDevice, CleanupReapsMessageWhoseFirstPacketWasLost) {
+  // No header ever arrives: a payload packet opens the message, so no HH
+  // runs, and the message must still leave the table.
+  PsPinConfig cfg;
+  cfg.cleanup_timeout = us(10);
+  Rig rig(cfg);
+  rig.dev.on_packet(make_packet(1, 1, 4));
+  rig.dev.on_packet(make_packet(1, 2, 4));  // ... then silence
+  rig.sim.run();
+  EXPECT_EQ(rig.dev.cleanup_runs(), 1u);
+  EXPECT_EQ(rig.dev.live_messages(), 0u);
+  EXPECT_EQ(rig.trace->order.back(), "CLEANUP");
+}
+
+TEST(PsPinDevice, CleanupReapsMessageWhoseFirstPacketArrivedLate) {
+  PsPinConfig cfg;
+  cfg.cleanup_timeout = us(10);
+  Rig rig(cfg);
+  rig.dev.on_packet(make_packet(1, 1, 4));
+  rig.dev.on_packet(make_packet(1, 0, 4));  // the header, after a payload
+  rig.sim.run();
+  EXPECT_EQ(rig.dev.cleanup_runs(), 1u);
+  EXPECT_EQ(rig.dev.live_messages(), 0u);
+  EXPECT_EQ(rig.trace->order.back(), "CLEANUP");
+}
+
 TEST(PsPinDevice, ActivityPushesCleanupDeadline) {
   PsPinConfig cfg;
   cfg.cleanup_timeout = us(10);
