@@ -2,10 +2,10 @@
 // handlers and the simulator are built on: GF(2^8) arithmetic, Reed-Solomon
 // encode/decode, SipHash capability MACs, the event queue, packetization,
 // and the GapServer reservation allocator. After the google-benchmark
-// suite, two standalone sweeps run: a calendar-queue-vs-heap goodput sweep
-// writing BENCH_event_queue.json (the PR 2 acceptance artifact), and a GF
-// kernel-tier sweep writing BENCH_gf256.json (the PR 3 acceptance artifact:
-// fused multi-parity RS encode vs the PR 1 per-coefficient SSSE3 loop).
+// suite, two standalone sweeps run: a GF kernel-tier sweep writing
+// BENCH_gf256.json (fused multi-parity RS encode vs a per-coefficient
+// SSSE3 loop), and an observability overhead sweep writing
+// BENCH_obs_overhead.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,10 +26,8 @@
 #include "obs/span.hpp"
 #include "services/client.hpp"
 #include "services/cluster.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
-#include "tests/sim_reference_heap.hpp"
 
 namespace {
 
@@ -247,136 +245,6 @@ void BM_BuildWritePackets(benchmark::State& state) {
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_BuildWritePackets)->Arg(4 * 1024)->Arg(256 * 1024);
-
-// ------------------------------------- event-queue goodput sweep (PR 2)
-//
-// Head-to-head goodput of the calendar queue vs the retained PR 1 binary
-// heap (tests/sim_reference_heap.hpp) on identical operation sequences:
-// fill to N pending, steady-state churn (pop one, run it, push it back as
-// its own successor), full drain. Both queue the simulator's real payload,
-// a sim::EventFn, so the rates include moving callables around. Both
-// structures pop the exact same (when, seq) order — proven by
-// tests/sim_queue_differential_test.cpp — so the per-phase op rates are
-// directly comparable, and a per-run checksum over popped entries (and the
-// ids their callables fold in when they run) double-checks it here at
-// bench scale. Acceptance: >= 2x total ops/s at 1e6 pending (uniform).
-
-struct QueuePhaseRates {
-  double fill_mops = 0.0;   // pushes/s during fill, in millions
-  double churn_mops = 0.0;  // pops+pushes/s at steady state
-  double drain_mops = 0.0;  // pops/s during drain
-  double total_mops = 0.0;  // all ops / total wall time
-  std::uint64_t checksum = 0;
-};
-
-/// Timestamp sequence shared by both queues. Uniform: fill times spread
-/// evenly over ~N ns (mean gap 1 ns). Bursty: clusters of 1024 near-tie
-/// events (ps-scale gaps) ~1 us apart — the shape a NIC scheduler under
-/// load produces.
-class DelayModel {
- public:
-  DelayModel(bool bursty, std::size_t n, std::uint64_t seed)
-      : bursty_(bursty), span_(static_cast<TimePs>(n) * ns(1)), rng_(seed) {}
-
-  TimePs next_fill() {
-    if (!bursty_) return rng_.next_below(span_);
-    if (++in_cluster_ == 1024) {
-      in_cluster_ = 0;
-      base_ += us(1);
-    }
-    return base_ + rng_.next_below(ns(4));
-  }
-
-  TimePs next_churn() { return bursty_ ? rng_.next_below(ns(4)) : rng_.next_below(us(1)); }
-
- private:
-  bool bursty_;
-  TimePs span_;
-  Rng rng_;
-  TimePs base_ = 0;
-  std::size_t in_cluster_ = 0;
-};
-
-template <typename Queue>
-QueuePhaseRates run_queue_goodput(std::size_t n, std::size_t churn_ops, bool bursty) {
-  using Clock = std::chrono::steady_clock;
-  const auto mops = [](std::size_t ops, Clock::duration d) {
-    return static_cast<double>(ops) / std::chrono::duration<double>(d).count() / 1e6;
-  };
-
-  Queue q;
-  DelayModel delays(bursty, n, /*seed=*/0x5EED);
-  QueuePhaseRates r;
-  const auto fold = [&r](std::uint64_t v) { r.checksum = r.checksum * 1099511628211ull + v; };
-
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<std::uint64_t>(i);
-    q.push(delays.next_fill(), sim::EventFn{[&fold, id] { fold(id); }});
-  }
-  const auto t1 = Clock::now();
-  // Steady state: pop the earliest, run it and reschedule it relative to
-  // itself — the hold model of a running simulation (every event spawns
-  // the next).
-  for (std::size_t i = 0; i < churn_ops / 2; ++i) {
-    auto e = q.pop();
-    fold(e.when ^ e.seq);
-    e.payload();
-    q.push(e.when + delays.next_churn(), std::move(e.payload));
-  }
-  const auto t2 = Clock::now();
-  while (!q.empty()) {
-    auto e = q.pop();
-    fold(e.when ^ e.seq);
-    e.payload();
-  }
-  const auto t3 = Clock::now();
-
-  r.fill_mops = mops(n, t1 - t0);
-  r.churn_mops = mops(churn_ops, t2 - t1);
-  r.drain_mops = mops(n, t3 - t2);
-  r.total_mops = mops(n + churn_ops + n, t3 - t0);
-  return r;
-}
-
-void run_event_queue_sweep() {
-  bench::SweepReport report("event_queue");
-  std::printf("\nevent-queue goodput: calendar queue vs PR 1 binary heap\n");
-  std::printf("%-9s %-8s %9s | %10s %10s %10s %10s\n", "queue", "dist", "pending", "fill_Mops",
-              "churn_Mops", "drain_Mops", "total_Mops");
-
-  const std::size_t churn_ops = 2'000'000;
-  std::size_t points = 0;
-  for (const bool bursty : {false, true}) {
-    for (const std::size_t n : {std::size_t{1'000'000}, std::size_t{4'000'000}}) {
-      const auto cal = run_queue_goodput<sim::CalendarQueue<sim::EventFn>>(n, churn_ops, bursty);
-      const auto heap =
-          run_queue_goodput<sim::ReferenceEventHeap<sim::EventFn>>(n, churn_ops, bursty);
-      if (cal.checksum != heap.checksum) {
-        std::fprintf(stderr, "FATAL: calendar/heap pop orders diverged (dist=%s n=%zu)\n",
-                     bursty ? "bursty" : "uniform", n);
-        std::exit(1);
-      }
-      const char* dist = bursty ? "bursty" : "uniform";
-      for (const auto& [name, r] :
-           {std::pair<const char*, const QueuePhaseRates&>{"calendar", cal}, {"heap", heap}}) {
-        std::printf("%-9s %-8s %9zu | %10.2f %10.2f %10.2f %10.2f\n", name, dist, n, r.fill_mops,
-                    r.churn_mops, r.drain_mops, r.total_mops);
-        char csv[160];
-        std::snprintf(csv, sizeof csv, "%s,%s,%zu,%.3f,%.3f,%.3f,%.3f", name, dist, n,
-                      r.fill_mops, r.churn_mops, r.drain_mops, r.total_mops);
-        report.add_csv(csv);
-        ++points;
-      }
-      const double speedup = cal.total_mops / heap.total_mops;
-      std::printf("%-9s %-8s %9zu | %10.2fx\n", "speedup", dist, n, speedup);
-      char csv[96];
-      std::snprintf(csv, sizeof csv, "speedup,%s,%zu,%.3f", dist, n, speedup);
-      report.add_csv(csv);
-    }
-  }
-  report.finish(/*threads=*/1, points);  // serial on purpose: clean timings
-}
 
 // --------------------------------- GF kernel-tier sweep (PR 3)
 //
@@ -626,7 +494,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_event_queue_sweep();
   run_gf256_sweep();
   run_obs_overhead_sweep();
   return 0;

@@ -26,15 +26,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # scenarios fold NADFS_CHAOS_SEED into their seeds, so each seed replays
 # different operation sequences, and every scenario must hold (and
 # self-digest identically across its internal double runs) for any seed.
-# One -R union: the event core and reservation calendars against their
+# One -R union: the event queue and reservation calendars against their
 # retained oracles, the pinned star digests (Determinism.*), faults, chaos
 # and fabric partitions, the wire and packet-train suites, the sPIN data
 # path, the DFS op surface and model check, elasticity (DESIGN.md §3g) and
 # the storage engines (DESIGN.md §3h). Under CHECK_SANITIZE=1 all of it
-# runs under ASan/UBSan, where a vacated calendar slot, an out-of-range
-# seq stored by index or a borrowed DMA source that dies before its replay
-# fails loudly.
-SEEDED='SimQueueDifferential|CalendarQueue|EventFn|EgressSlots|GapServer|Determinism'
+# runs under ASan/UBSan, where a payload read from a vacated slab slot, an
+# out-of-range seq stored by index or a borrowed DMA source that dies
+# before its replay fails loudly.
+SEEDED='SimQueueDifferential|EventQueue|EventFn|EgressSlots|GapServer|Determinism'
 SEEDED+='|Chaos|ClientTimeout|FaultPlan|FaultNet|FailureDetector|Partition|FabricNet|Topology'
 SEEDED+='|DuplicatePackets|ExtentBounds|MalformedWrite|MalformedRpc|Wire|BuildWritePackets'
 SEEDED+='|Reassembly|ForgedPacketCount|ReadPath'

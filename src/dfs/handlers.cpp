@@ -374,7 +374,7 @@ void completion_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
     // scatter-gather sends — the NIC gathers each packet's payload from
     // the storage target at transmit time, so the PCIe reads pipeline with
     // the wire instead of store-and-forwarding the whole extent.
-    const std::size_t mtu = st.cfg.mtu;
+    const std::size_t mtu = st.mtu;
     const std::size_t len = entry.rrh.len;
     const std::uint32_t count = net::packet_count(len, mtu);
     ctx.charge(cost::kReadChBaseInstr, cost::kReadChBaseCycles);

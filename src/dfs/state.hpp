@@ -27,9 +27,7 @@ namespace nadfs::dfs {
 
 struct DfsConfig {
   auth::Key128 key{};                       ///< shared among DFS services
-  std::size_t mtu = 2048;
   std::size_t req_table_bytes = 6 * MiB;    ///< descriptor area
-  std::size_t dfs_wide_bytes = 2 * MiB;     ///< GF table + accumulator pool + misc
   std::size_t accumulator_pool_bytes = 1 * MiB;
   bool validate_requests = true;            ///< false: trusted-client threat model
 };
@@ -82,13 +80,20 @@ struct ReqEntry {
 };
 
 struct DfsState {
-  explicit DfsState(DfsConfig config)
+  /// GF table + accumulator pool + misc: the DFS-wide area of §III-B.2.
+  static constexpr std::size_t kDfsWideBytes = 2 * MiB;
+
+  DfsState(DfsConfig config, std::size_t network_mtu)
       : cfg(config),
+        mtu(network_mtu),
         authority(config.key),
         table(config.req_table_bytes),
-        pool(config.accumulator_pool_bytes, config.mtu) {}
+        pool(config.accumulator_pool_bytes, network_mtu) {}
 
   DfsConfig cfg;
+  /// The node's network MTU: the size of a parity accumulator and of each
+  /// read-response packet.
+  std::size_t mtu;
   auth::CapabilityAuthority authority;
   ReqTable table;
 
@@ -152,7 +157,7 @@ struct DfsState {
   obs::Counter reaped_requests;
 
   /// NIC memory the execution context declares at install time.
-  std::size_t state_bytes() const { return cfg.req_table_bytes + cfg.dfs_wide_bytes; }
+  std::size_t state_bytes() const { return cfg.req_table_bytes + kDfsWideBytes; }
 
   /// Storage-side TTL reaper (ROADMAP follow-up: state wedged by mid-chain
   /// drops). Device-level cleanup (PsPinDevice + cleanup_handler) reaps

@@ -160,17 +160,19 @@ void Gf256::select_kernel(Kernel forced) {
 }
 
 bool Gf256::kernel_matches_scalar() const {
-  // Probe lengths straddle the 64/32/16-byte vector widths, including
-  // ragged tails shorter than one vector; coefficients cover the identity,
-  // the generator, the reduction constant, and a spread of arbitrary
-  // values. The fused multi ops are probed with m=3 over the same data.
+  // Probe every length 0..64, so each ragged tail of the 16-, 32- and
+  // 64-byte vector tiers is checked, plus two multi-vector lengths;
+  // coefficients cover the identity, the generator, the reduction
+  // constant, and a spread of arbitrary values. The fused multi ops are
+  // probed with m=3 over the same data.
   constexpr std::size_t kMax = 200;
   std::uint8_t src[kMax], word_dst[kMax], scalar_dst[kMax];
   std::uint32_t lcg = 0x12345678;
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{15},
-        std::size_t{16}, std::size_t{33}, std::size_t{64}, std::size_t{65}, std::size_t{127},
-        kMax}) {
+  std::size_t lengths[67];
+  for (std::size_t i = 0; i <= 64; ++i) lengths[i] = i;
+  lengths[65] = 127;
+  lengths[66] = kMax;
+  for (const std::size_t len : lengths) {
     for (const std::uint8_t coeff : {0x00, 0x01, 0x02, 0x1D, 0x53, 0x8E, 0xFF}) {
       for (std::size_t i = 0; i < len; ++i) {
         lcg = lcg * 1664525u + 1013904223u;

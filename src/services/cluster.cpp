@@ -21,10 +21,9 @@ StorageNode::StorageNode(sim::Simulator& simulator, net::Network& network,
 }
 
 void StorageNode::install_dfs(dfs::DfsConfig cfg) {
-  cfg.mtu = nic_->network().mtu();
   dfs_cfg_ = cfg;
   dfs_installed_ = true;
-  dfs_state_ = std::make_shared<dfs::DfsState>(cfg);
+  dfs_state_ = std::make_shared<dfs::DfsState>(cfg, nic_->network().mtu());
   if (!pspin_->install(dfs::make_dfs_context(dfs_state_))) {
     throw std::runtime_error("StorageNode::install_dfs: DFS state exceeds NIC memory");
   }

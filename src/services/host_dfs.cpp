@@ -87,6 +87,7 @@ void HostDfsService::handle_write(const dfs::ParsedRequest& req, ByteSpan payloa
   // Bounce-buffer copy out of the command queue, then commit.
   const TimePs copied = cpu.copy(payload.size(), t);
   const TimePs durable = node_.target().write(req.wrh.dest_addr, payload, copied);
+  const std::size_t mtu = node_.nic().network().mtu();
 
   switch (req.wrh.resiliency) {
     case dfs::Resiliency::kNone:
@@ -98,8 +99,8 @@ void HostDfsService::handle_write(const dfs::ParsedRequest& req, ByteSpan payloa
       for (const auto child : dfs::broadcast_children(
                wrh.virtual_rank, static_cast<std::uint8_t>(wrh.replicas.size()),
                wrh.strategy)) {
-        auto pkts = dfs::build_request_packets(node_.id(), wrh.replicas[child].node, cfg_.mtu,
-                                               req.dfs, wrh.for_replica(child), payload);
+        auto pkts = dfs::build_request_packets(node_.id(), wrh.replicas[child].node, mtu, req.dfs,
+                                               wrh.for_replica(child), payload);
         cpu.run(cpu.config().rpc_dispatch, copied, [this, pkts = std::move(pkts)]() mutable {
           node_.nic().post_message(std::move(pkts));
         });
@@ -114,8 +115,8 @@ void HostDfsService::handle_write(const dfs::ParsedRequest& req, ByteSpan payloa
       const TimePs encoded = cpu.copy(payload.size() * wrh.ec_m, copied);
       const auto inter = rs.encode_intermediate(wrh.data_idx, payload);
       for (unsigned p = 0; p < wrh.ec_m; ++p) {
-        auto pkts = dfs::build_request_packets(node_.id(), wrh.parity_nodes[p].node, cfg_.mtu,
-                                               req.dfs, wrh.for_parity(p), inter[p]);
+        auto pkts = dfs::build_request_packets(node_.id(), wrh.parity_nodes[p].node, mtu, req.dfs,
+                                               wrh.for_parity(p), inter[p]);
         cpu.run(cpu.config().rpc_dispatch, encoded, [this, pkts = std::move(pkts)]() mutable {
           node_.nic().post_message(std::move(pkts));
         });
@@ -172,7 +173,7 @@ void HostDfsService::handle_read(const dfs::ParsedRequest& req, TimePs t) {
   const TimePs ready = cpu.copy(r.data.size(), r.ready);
   auto pkts = net::cut(net::packet(node_.id(), req.dfs.client_node, net::Opcode::kRdmaReadResp,
                                    req.dfs.greq_id, req.dfs.greq_id),
-                       {}, r.data, cfg_.mtu);
+                       {}, r.data, node_.nic().network().mtu());
   cpu.run(0, ready, [this, pkts = std::move(pkts)]() mutable {
     node_.nic().post_message(std::move(pkts));
   });

@@ -26,7 +26,8 @@ namespace nadfs::services {
 class HostDfsService {
  public:
   /// Installs itself as `node`'s DFS-request handler. `cfg` supplies the
-  /// shared key and MTU (normally the cluster's dfs config).
+  /// shared key and the validation mode (normally the cluster's dfs
+  /// config); packets are cut at the node's network MTU.
   HostDfsService(StorageNode& node, dfs::DfsConfig cfg);
   ~HostDfsService();
   HostDfsService(const HostDfsService&) = delete;

@@ -191,13 +191,6 @@ std::pair<dfs::DfsError, std::uint64_t> MetadataService::append_reserve(const st
   return {dfs::DfsError::kOk, offset};
 }
 
-void MetadataService::note_written(const std::string& name, std::uint64_t offset,
-                                   std::uint64_t len) {
-  if (files_.count(name) == 0) return;
-  std::uint64_t& length = lengths_[name];
-  length = std::max(length, offset + len);
-}
-
 std::optional<dfs::Coord> MetadataService::try_place_next(std::uint64_t len,
                                                           const std::vector<net::NodeId>& avoid) {
   // Round-robin over the eligible nodes: excluded (failed), partition-held,
@@ -222,13 +215,6 @@ std::size_t MetadataService::eligible_node_count() const {
     if (placeable(node)) ++n;
   }
   return n;
-}
-
-dfs::Coord MetadataService::allocate_spare(std::uint64_t len,
-                                           const std::vector<net::NodeId>& avoid) {
-  auto coord = try_place_next(len, avoid);
-  if (!coord) throw std::runtime_error("MetadataService: no eligible storage node");
-  return *coord;
 }
 
 std::optional<dfs::Coord> MetadataService::try_allocate_spare(

@@ -121,7 +121,7 @@ class MetadataService {
   const FileLayout* lookup(const std::string& name) const;
 
   /// Namespace metadata for a file: existence, capacity, logical length
-  /// (high-water mark of writes/appends recorded via note_written), policy.
+  /// (the append tail append_reserve advances), policy.
   struct StatInfo {
     bool exists = false;
     std::uint64_t size = 0;    ///< allocated capacity
@@ -139,10 +139,6 @@ class MetadataService {
   /// [offset, offset+len) before touching the data plane.
   std::pair<dfs::DfsError, std::uint64_t> append_reserve(const std::string& name,
                                                          std::uint64_t len);
-
-  /// Record that [offset, offset+len) holds data (stat() length tracking
-  /// for plain writes; appends go through append_reserve instead).
-  void note_written(const std::string& name, std::uint64_t offset, std::uint64_t len);
 
   /// Capability covering the object's full extent on every target node.
   /// (Targets share the address layout, so one extent grant covers all.)
@@ -191,11 +187,9 @@ class MetadataService {
   }
   bool removed(net::NodeId node) const { return removed_.count(node) != 0; }
 
-  /// Allocate a fresh extent on a node *not* in `avoid` (recovery targets).
-  /// Throws if no eligible node exists.
-  dfs::Coord allocate_spare(std::uint64_t len, const std::vector<net::NodeId>& avoid);
-  /// Non-throwing twin: nullopt when failures/holds/drains leave no
-  /// eligible node — the caller NACKs kNoQuorum and retries after rejoin.
+  /// Allocate a fresh extent on a node *not* in `avoid` (recovery targets);
+  /// nullopt when failures/holds/drains leave no eligible node — the caller
+  /// NACKs kNoQuorum and retries after rejoin.
   std::optional<dfs::Coord> try_allocate_spare(std::uint64_t len,
                                                const std::vector<net::NodeId>& avoid);
 

@@ -13,9 +13,8 @@ void Simulator::schedule_at(TimePs when, EventFn&& fn) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // The event is moved out before any bucket/cursor maintenance runs: the
-  // callback may schedule new events (growing/re-bucketing the calendar)
-  // while it executes.
+  // The event is moved out of the queue before it runs: the callback may
+  // schedule new events (growing the heap and the slab) while it executes.
   auto ev = queue_.pop();
   now_ = ev.when;
   ++executed_;

@@ -18,16 +18,13 @@
 //    Packet fails the build instead of quietly costing two heap
 //    allocations per hop. Larger callables still work through one heap
 //    allocation.
-//  - The priority queue is a calendar queue (sim/calendar_queue.hpp):
-//    time-bucketed lanes with a far-future overflow heap, amortized O(1)
-//    per op on the densely populated NIC/link timelines where the binary
-//    heap it replaced paid O(log n). It orders 24-byte (when, seq, slot) keys
-//    and keeps the callables in a per-queue slab, so an EventFn moves into
-//    the queue once and out once; bucket sifts, staging and rebuilds copy
-//    keys only. That split is what makes a 128-byte EventFn affordable.
-//    Tie-breaking is byte-identical to the heap — strictly ascending
-//    (time, seq) — proven by the differential oracle harness in
-//    tests/sim_queue_differential_test.cpp.
+//  - The priority queue (sim/event_queue.hpp) is a binary min-heap of
+//    24-byte (when, seq, slot) keys; the callables sit in a per-queue slab,
+//    so an EventFn moves into the queue once and out once, and heap sifts
+//    copy keys only. That split is what makes a 128-byte EventFn
+//    affordable. Ties break in strictly ascending (time, seq), proven
+//    against the retained reference heap by the differential oracle
+//    harness in tests/sim_queue_differential_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +34,7 @@
 #include <utility>
 
 #include "common/units.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 
 namespace nadfs::sim {
 
@@ -184,13 +181,10 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
-  /// The underlying calendar queue (read-only introspection for tests).
-  const CalendarQueue<EventFn>& queue() const { return queue_; }
-
  private:
   TimePs now_ = 0;
   std::uint64_t executed_ = 0;
-  CalendarQueue<EventFn> queue_;
+  EventQueue<EventFn> queue_;
 };
 
 }  // namespace nadfs::sim

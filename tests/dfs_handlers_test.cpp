@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "dfs/handlers.hpp"
 #include "ec/reed_solomon.hpp"
+#include "net/network.hpp"
 #include "pspin/device.hpp"
 #include "sim/simulator.hpp"
 
@@ -56,7 +57,7 @@ struct Rig {
     key[0] = 9;
     DfsConfig cfg;
     cfg.key = key;
-    state = std::make_shared<DfsState>(cfg);
+    state = std::make_shared<DfsState>(cfg, net::NetworkConfig{}.mtu);
     authority = std::make_unique<auth::CapabilityAuthority>(key);
     dev.attach_nic(nic);
     dev.install(make_dfs_context(state));
@@ -308,7 +309,7 @@ TEST(DfsHandlers, AccumulatorPoolExhaustionFallsBackCorrectly) {
   DfsConfig cfg;
   cfg.key = rig.key;
   cfg.accumulator_pool_bytes = 0;
-  rig.state = std::make_shared<DfsState>(cfg);
+  rig.state = std::make_shared<DfsState>(cfg, net::NetworkConfig{}.mtu);
   rig.dev.uninstall();
   rig.dev.install(make_dfs_context(rig.state));
 

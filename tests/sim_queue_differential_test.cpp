@@ -1,20 +1,20 @@
-// Differential scheduler harness: proves the calendar-queue event core
-// (src/sim/calendar_queue.hpp) is order-identical to the PR 1 binary heap
-// it replaced.
+// Differential scheduler harness: proves the event queue
+// (src/sim/event_queue.hpp), a heap of keys over a payload slab, is
+// order-identical to the original binary heap of whole entries.
 //
-// SchedulerOracle drives sim::CalendarQueue and the retained reference
-// heap (sim_reference_heap.hpp) in lockstep through seeded randomized
+// SchedulerOracle drives sim::EventQueue and the retained reference heap
+// (sim_reference_heap.hpp) in lockstep through seeded randomized
 // adversarial workloads — same-timestamp tie storms, schedule-from-pop
-// re-entrancy, horizon-crossing delays, drain/refill cycles across
-// timescales — asserting identical (when, seq, payload) at every pop and
-// identical sizes at every step. A second, simulator-level harness runs
-// the real sim::Simulator against a reference-heap simulator clone and
-// compares the now() trajectory, firing order, and executed_events().
+// re-entrancy, far-future delays, drain/refill cycles across timescales —
+// asserting identical (when, seq, payload) at every pop and identical
+// sizes at every step. A second, simulator-level harness runs the real
+// sim::Simulator against a reference-heap simulator clone and compares the
+// now() trajectory, firing order, and executed_events().
 //
-// The CalendarQueueSlab suite checks the payload slab on its own: every
+// The EventQueueSlab suite checks the payload slab on its own: every
 // payload pops with its own (when, seq) and is destroyed exactly once,
-// through every internal path a key can take, and the slab stays at the
-// peak pending count.
+// whether popped or still queued when the queue dies, and the slab stays
+// at the peak pending count.
 //
 // Seeds fold in NADFS_CHAOS_SEED (default 1, which keeps the historical
 // seeds); scripts/check.sh reruns these suites under seeds 1 and 7 and
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim_reference_heap.hpp"
 
@@ -49,7 +49,7 @@ std::vector<std::uint64_t> seeds() {
 
 // ------------------------------------------------------- SchedulerOracle
 
-/// Drives the calendar queue and the reference heap in lockstep. Payloads
+/// Drives the event queue and the reference heap in lockstep. Payloads
 /// are ids distinct from seq (id = 2*counter + 1) so a payload routed to
 /// the wrong entry is caught even where seq happens to match.
 class SchedulerOracle {
@@ -57,14 +57,14 @@ class SchedulerOracle {
   explicit SchedulerOracle(std::uint64_t seed) : seed_(seed) {}
 
   ~SchedulerOracle() {
-    EXPECT_EQ(cal_.size(), ref_.size()) << "final size mismatch, seed=" << seed_;
+    EXPECT_EQ(q_.size(), ref_.size()) << "final size mismatch, seed=" << seed_;
   }
 
   /// Enqueue one event `delay` after the current (last-popped) time.
   void push(TimePs delay) {
     const TimePs when = now_ + delay;
     const std::uint64_t id = 2 * next_id_++ + 1;
-    const std::uint64_t s1 = cal_.push(when, std::uint64_t{id});
+    const std::uint64_t s1 = q_.push(when, std::uint64_t{id});
     const std::uint64_t s2 = ref_.push(when, id);
     EXPECT_EQ(s1, s2) << "seq assignment diverged, seed=" << seed_;
     ++ops_;
@@ -74,30 +74,30 @@ class SchedulerOracle {
   /// Returns false once a divergence has been observed (callers bail out).
   bool pop() {
     if (dead_) return false;
-    if (cal_.empty() || ref_.empty()) {
-      if (cal_.empty() != ref_.empty()) fail("one queue empty, the other not");
+    if (q_.empty() || ref_.empty()) {
+      if (q_.empty() != ref_.empty()) fail("one queue empty, the other not");
       return false;
     }
-    const auto* cp = cal_.peek();
+    const auto* qp = q_.peek();
     const auto* rp = ref_.peek();
-    if (cp->when != rp->when || cp->seq != rp->seq || cal_.payload(*cp) != rp->payload) {
+    if (qp->when != rp->when || qp->seq != rp->seq || q_.payload(*qp) != rp->payload) {
       fail("peek mismatch");
       return false;
     }
-    auto ce = cal_.pop();
+    auto qe = q_.pop();
     auto re = ref_.pop();
-    if (ce.when != re.when || ce.seq != re.seq || ce.payload != re.payload) {
-      ADD_FAILURE() << "pop mismatch at op " << ops_ << ", seed=" << seed_ << ": calendar ("
-                    << ce.when << "," << ce.seq << "," << ce.payload << ") vs heap (" << re.when
-                    << "," << re.seq << "," << re.payload << ")";
+    if (qe.when != re.when || qe.seq != re.seq || qe.payload != re.payload) {
+      ADD_FAILURE() << "pop mismatch at op " << ops_ << ", seed=" << seed_ << ": queue ("
+                    << qe.when << "," << qe.seq << "," << qe.payload << ") vs reference ("
+                    << re.when << "," << re.seq << "," << re.payload << ")";
       dead_ = true;
       return false;
     }
-    if (cal_.size() != ref_.size()) {
+    if (q_.size() != ref_.size()) {
       fail("size mismatch after pop");
       return false;
     }
-    now_ = ce.when;
+    now_ = qe.when;
     ++ops_;
     return true;
   }
@@ -107,12 +107,11 @@ class SchedulerOracle {
     }
   }
 
-  bool done() const { return dead_ || (cal_.empty() && ref_.empty()); }
+  bool done() const { return dead_ || (q_.empty() && ref_.empty()); }
   bool diverged() const { return dead_; }
   TimePs now() const { return now_; }
-  std::size_t pending() const { return cal_.size(); }
+  std::size_t pending() const { return q_.size(); }
   std::uint64_t ops() const { return ops_; }
-  const CalendarQueue<std::uint64_t>& calendar() const { return cal_; }
 
  private:
   void fail(const char* what) {
@@ -125,7 +124,7 @@ class SchedulerOracle {
   std::uint64_t next_id_ = 0;
   std::uint64_t ops_ = 0;
   bool dead_ = false;
-  CalendarQueue<std::uint64_t> cal_;
+  EventQueue<std::uint64_t> q_;
   ReferenceEventHeap<std::uint64_t> ref_;
 };
 
@@ -152,8 +151,8 @@ TEST(SimQueueDifferential, UniformWideRange) {
 }
 
 TEST(SimQueueDifferential, SameTimestampTieStorm) {
-  // Every event of a round lands on one timestamp: a single bucket soaks
-  // the whole population and must still drain in exact seq order.
+  // Every event of a round lands on one timestamp: the whole population
+  // ties on `when` and must still drain in exact seq order.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int round = 0; round < 3; ++round) {
       const TimePs at = rng.next_range(1, ns(50));
@@ -189,8 +188,8 @@ TEST(SimQueueDifferential, BurstyClusters) {
 
 TEST(SimQueueDifferential, ReentrantScheduleFromPop) {
   // Models schedule-from-inside-callback: every pop may push follow-ups
-  // at the just-popped time (delay 0 → into the live, partially drained
-  // bucket) or shortly after.
+  // at the just-popped time (delay 0, tying with what is left at the
+  // front) or shortly after.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 2000; ++i) q.push(rng.next_below(us(1)));
     int push_budget = 10000;
@@ -208,8 +207,8 @@ TEST(SimQueueDifferential, ReentrantScheduleFromPop) {
 }
 
 TEST(SimQueueDifferential, HorizonCrossingDelays) {
-  // 30% of delays land far past the calendar window (overflow heap);
-  // drains force cursor jumps and overflow→wheel migration.
+  // 30% of delays land up to 2^50 ps out, among a dense near-term
+  // population, so pops alternate between the two scales.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 12000 && !q.diverged(); ++i) {
       const std::uint64_t r = rng.next_below(10);
@@ -226,7 +225,7 @@ TEST(SimQueueDifferential, HorizonCrossingDelays) {
 
 TEST(SimQueueDifferential, DrainRefillAcrossTimescales) {
   // Full drain/refill cycles with the delay scale growing 64x per cycle:
-  // exercises shrink-to-minimum and bucket-width re-adaptation.
+  // every refill reuses the slots the previous drain vacated.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int cycle = 0; cycle < 6; ++cycle) {
       const TimePs scale = TimePs{1} << (4 + 6 * cycle);
@@ -249,8 +248,8 @@ TEST(SimQueueDifferential, MonotoneSteadyStateChain) {
 }
 
 TEST(SimQueueDifferential, ZeroDelayStormDuringDrain) {
-  // Pushes at exactly the just-popped timestamp while its bucket is being
-  // consumed: the ordered-insert path of the live bucket.
+  // Pushes at exactly the just-popped timestamp while its peers are still
+  // queued: each must rank behind them by seq.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 4000; ++i) q.push(rng.next_below(us(1)));
     int push_budget = 8000;
@@ -267,9 +266,8 @@ TEST(SimQueueDifferential, ZeroDelayStormDuringDrain) {
 }
 
 TEST(SimQueueDifferential, GeometricScaleMix) {
-  // Delays spanning 45 binary orders of magnitude with random push/pop
-  // mix: hammers width adaptation and the wheel/overflow boundary in
-  // both directions.
+  // Delays spanning 45 binary orders of magnitude with a random push/pop
+  // mix.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 12000 && !q.diverged(); ++i) {
       if (rng.next_below(2) == 0 || q.pending() == 0) {
@@ -395,60 +393,21 @@ class ReentrantDriver {
 
 TEST(SimQueueDifferential, SimulatorMatchesReferenceHeapSimulator) {
   for (const std::uint64_t seed : seeds()) {
-    SimTrace cal = ReentrantDriver<Simulator>(seed).run();
+    SimTrace got = ReentrantDriver<Simulator>(seed).run();
     SimTrace ref = ReentrantDriver<RefSimulator>(seed).run();
-    EXPECT_EQ(cal.executed, ref.executed) << "seed=" << seed;
-    EXPECT_GE(cal.executed, 3000u) << "seed=" << seed;
-    ASSERT_EQ(cal.fired.size(), ref.fired.size()) << "seed=" << seed;
-    EXPECT_EQ(cal.fired, ref.fired) << "firing order diverged, seed=" << seed;
-    EXPECT_EQ(cal.now_after_step, ref.now_after_step)
+    EXPECT_EQ(got.executed, ref.executed) << "seed=" << seed;
+    EXPECT_GE(got.executed, 3000u) << "seed=" << seed;
+    ASSERT_EQ(got.fired.size(), ref.fired.size()) << "seed=" << seed;
+    EXPECT_EQ(got.fired, ref.fired) << "firing order diverged, seed=" << seed;
+    EXPECT_EQ(got.now_after_step, ref.now_after_step)
         << "now() trajectory diverged, seed=" << seed;
   }
 }
 
-// ------------------------------------------- calendar-queue unit checks
+// ---------------------------------------------------- event-queue checks
 
-TEST(CalendarQueue, GrowsAndAdaptsBucketWidthUnderLoad) {
-  CalendarQueue<int> q;
-  const std::size_t initial_buckets = q.bucket_count();
-  Rng rng(1);
-  for (int i = 0; i < 50000; ++i) {
-    q.push(rng.next_below(ms(1)), int{i});
-  }
-  // Pushes are staged; sizing decisions happen when consumption begins.
-  ASSERT_NE(q.peek(), nullptr);
-  EXPECT_GT(q.bucket_count(), initial_buckets);
-  EXPECT_GT(q.rebuilds(), 0u);
-  // ms-range spread over 50k events: mean gap ~20 ns, so the width must
-  // have adapted well above the 1 ns default.
-  EXPECT_GT(q.bucket_shift(), 10u);
-}
-
-TEST(CalendarQueue, FarFutureLandsInOverflowAndMigratesBack) {
-  CalendarQueue<int> q;
-  q.push(ns(1), 0);
-  q.push(ms(1000), 1);  // far beyond any 16-bucket window
-  ASSERT_NE(q.peek(), nullptr);  // integrates the staged pushes
-  EXPECT_EQ(q.overflow_size(), 1u);
-  EXPECT_EQ(q.pop().payload, 0);
-  EXPECT_EQ(q.pop().payload, 1);  // cursor jump + migration
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.overflow_size(), 0u);
-}
-
-TEST(CalendarQueue, ShrinksAfterDrain) {
-  CalendarQueue<int> q;
-  for (int i = 0; i < 20000; ++i) q.push(static_cast<TimePs>(i) * ns(1), int{i});
-  ASSERT_NE(q.peek(), nullptr);  // integrates the staged pushes
-  const std::size_t grown = q.bucket_count();
-  EXPECT_GT(grown, CalendarQueue<int>::kMinBuckets);
-  for (int i = 0; i < 20000; ++i) q.pop();
-  EXPECT_LT(q.bucket_count(), grown);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, PeekIsStableAndMatchesPop) {
-  CalendarQueue<int> q;
+TEST(EventQueue, PeekIsStableAndMatchesPop) {
+  EventQueue<int> q;
   q.push(ns(7), 1);
   q.push(ns(3), 2);
   q.push(ns(3), 3);
@@ -503,7 +462,7 @@ class Counted {
   std::uint64_t id_;
 };
 
-/// A CalendarQueue<Counted> that remembers the (when, seq) each payload was
+/// An EventQueue<Counted> that remembers the (when, seq) each payload was
 /// pushed with, checks it at every peek and pop, and checks every payload
 /// dies exactly once — popped ones at once, queued ones with the queue.
 class SlabRig {
@@ -537,7 +496,7 @@ class SlabRig {
     return e.when;
   }
 
-  using Queue = CalendarQueue<Counted>;
+  using Queue = EventQueue<Counted>;
   Queue& queue() { return *q_; }
 
  private:
@@ -556,48 +515,26 @@ class SlabRig {
   std::unique_ptr<Queue> q_;
 };
 
-TEST(CalendarQueueSlab, PayloadsSurviveEveryKeyPathAndDieOnce) {
+TEST(EventQueueSlab, PayloadsSurviveEveryKeyPathAndDieOnce) {
   for (const std::uint64_t seed : seeds()) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
     SlabRig rig(seed);
     auto& q = rig.queue();
     Rng rng(seed);
 
-    // Staged integration into the fresh 16-bucket, 16 ns wheel: no rebuild.
+    // Near keys pop before far-future ones pushed after them.
     for (int i = 0; i < 8; ++i) rig.push(rng.next_below(ns(8)));
-    ASSERT_NE(q.peek(), nullptr);
-    EXPECT_EQ(q.rebuilds(), 0u);
-
-    // Far-future keys go to the overflow heap. Once the near ones are gone
-    // the wheel is empty, so the cursor jumps to the overflow top and the
-    // keys migrate back into a bucket.
     for (int i = 0; i < 4; ++i) rig.push(ms(1) + rng.next_below(ns(4)));
-    ASSERT_NE(q.peek(), nullptr);
-    EXPECT_EQ(q.overflow_size(), 4u);
     TimePs now = 0;
     for (int i = 0; i < 8; ++i) now = rig.pop();
     EXPECT_LT(now, ms(1));
-    ASSERT_NE(q.peek(), nullptr);
-    EXPECT_EQ(q.overflow_size(), 0u);
     now = rig.pop();
     EXPECT_GE(now, ms(1));
-    EXPECT_EQ(q.rebuilds(), 0u);
 
-    // A fill burst is integrated by a growing rebuild; far-future keys
-    // beyond the grown window land in the overflow heap again.
+    // A fill burst with a far-future tail, then a drain.
     for (int i = 0; i < 20000; ++i) rig.push(now + rng.next_below(us(20)));
     for (int i = 0; i < 32; ++i) rig.push(now + ms(1) + rng.next_below(ms(1)));
-    ASSERT_NE(q.peek(), nullptr);
-    const std::uint64_t grown_rebuilds = q.rebuilds();
-    const std::size_t grown = q.bucket_count();
-    EXPECT_GT(grown_rebuilds, 0u);
-    EXPECT_GT(grown, CalendarQueue<Counted>::kMinBuckets);
-    EXPECT_GT(q.overflow_size(), 0u);
-
-    // The drain shrinks the wheel through further rebuilds.
     while (q.size() > 40) now = rig.pop();
-    EXPECT_LT(q.bucket_count(), grown);
-    EXPECT_GT(q.rebuilds(), grown_rebuilds);
 
     // Leave a mixed population queued: the queue's destructor must destroy
     // each of them exactly once (checked by ~SlabRig).
@@ -606,7 +543,7 @@ TEST(CalendarQueueSlab, PayloadsSurviveEveryKeyPathAndDieOnce) {
   }
 }
 
-TEST(CalendarQueueSlab, HoldModelChurnKeepsSlabAtPeakPending) {
+TEST(EventQueueSlab, HoldModelChurnKeepsSlabAtPeakPending) {
   for (const std::uint64_t seed : seeds()) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
     SlabRig rig(seed);

@@ -1,11 +1,10 @@
-// Reference scheduler oracle: a minimal retained copy of the PR 1 binary
-// min-heap event core (commit bf5d7b8, src/sim/simulator.cpp before the
-// calendar-queue swap). The differential harness in
-// sim_queue_differential_test.cpp runs it in lockstep with
-// sim::CalendarQueue and asserts identical pop order; the event-queue
-// goodput bench (bench/micro_primitives.cpp) uses it as the speedup
-// baseline. Do not "improve" this file — its value is being the old,
-// trusted implementation.
+// Reference scheduler oracle: a minimal retained copy of the original
+// binary min-heap event core (commit bf5d7b8, src/sim/simulator.cpp), which
+// sifts whole (when, seq, payload) entries. The differential harness in
+// sim_queue_differential_test.cpp runs it in lockstep with sim::EventQueue
+// (a heap of keys over a payload slab) and asserts identical pop order.
+// Do not "improve" this file — its value is being the old, trusted
+// implementation.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +26,7 @@ class ReferenceEventHeap {
   };
 
   /// Enqueue `payload` at absolute time `when`; returns the assigned
-  /// sequence number (same contract as CalendarQueue::push).
+  /// sequence number (same contract as EventQueue::push).
   std::uint64_t push(TimePs when, Payload payload) {
     const std::uint64_t seq = next_seq_++;
     Entry ev{when, seq, std::move(payload)};

@@ -164,6 +164,53 @@ TEST(Steering, HostForwardedReplicationLandsEverywhere) {
   EXPECT_EQ(host.requests_handled(), 1u);  // replicas handled on their NICs
 }
 
+TEST(Steering, HostServiceCutsAtTheNetworkMtu) {
+  // Regression: the host service cut read responses and replication
+  // forwards at DfsConfig's 2048 B default instead of the network's MTU;
+  // on a 1024 B network Network::inject threw out of sim.run().
+  ClusterConfig cfg;
+  cfg.storage_nodes = 3;
+  cfg.network.mtu = 1024;
+  Cluster cluster(cfg);
+  std::vector<std::unique_ptr<HostDfsService>> services;
+  for (std::size_t n = 0; n < cluster.storage_node_count(); ++n) {
+    cluster.storage_node(n).uninstall_dfs();
+    services.push_back(std::make_unique<HostDfsService>(cluster.storage_node(n), cfg.dfs));
+  }
+
+  Client client(cluster, 0);
+  FilePolicy policy;
+  policy.resiliency = dfs::Resiliency::kReplication;
+  policy.strategy = dfs::ReplStrategy::kRing;
+  policy.repl_k = 3;
+  const auto& layout = cluster.metadata().create("a", 16 * KiB, policy);
+  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
+
+  const Bytes data = random_bytes(16 * KiB, 11);
+  dfs::DfsError wrote = dfs::DfsError::kTimeout;
+  client.write(layout, cap, data, [&](dfs::DfsError err, TimePs) { wrote = err; });
+  cluster.sim().run();
+  ASSERT_EQ(wrote, dfs::DfsError::kOk);
+  for (const auto& coord : layout.targets) {
+    EXPECT_EQ(cluster.storage_by_node(coord.node).target().read(coord.addr, data.size()), data)
+        << "node " << coord.node;
+  }
+
+  dfs::DfsError read = dfs::DfsError::kTimeout;
+  Bytes got;
+  client.read(layout, cap, static_cast<std::uint32_t>(data.size()),
+              [&](dfs::DfsError err, Bytes d, TimePs) {
+                read = err;
+                got = std::move(d);
+              });
+  cluster.sim().run();
+  EXPECT_EQ(read, dfs::DfsError::kOk);
+  EXPECT_EQ(got, data);
+  std::uint64_t handled = 0;
+  for (const auto& s : services) handled += s->requests_handled();
+  EXPECT_EQ(handled, 4u);  // the write, two forwards and the read
+}
+
 TEST(Steering, CpuModeErasureCodingProducesCorrectParity) {
   // All nodes in CPU mode: data nodes encode on the host, parity nodes
   // aggregate on the host — still byte-identical to the reference encode.
